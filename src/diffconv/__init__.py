@@ -24,7 +24,7 @@ from .benchmark import (
     rows_to_csv,
     run_benchmark,
 )
-from .engine import WindowAssignment, as_field, conv2d_diff, conv2d_valid, window_assignment
+from .engine import as_field, conv2d_diff, conv2d_valid
 from .fields import (
     FAMILIES,
     Field,
@@ -36,7 +36,7 @@ from .fields import (
     random_kernels,
     spherical_Y,
 )
-from .metrics import ErrorReport, interior_frame_split, l1_error, mse
+from .metrics import interior_frame_split, l1_error, mse
 from .npyio import ArrayFileError, load_array, save_array
 from .stencils import (
     SUPPORTED_SIZES,
@@ -48,19 +48,14 @@ from .stencils import (
     invert_center_matrix,
     lagrange_derivative,
     stencil_matrix,
-    warm_cache,
 )
 from .transform import (
     KernelBank,
     as_kernel,
     build_bank,
-    exact_transform,
-    exact_transforms,
-    float_transforms,
     identity_kernel,
     kernel_from_operator,
     operator_coeffs,
-    transform_kernel,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +64,6 @@ __all__ = [
     "ArrayFileError",
     "BenchmarkConfig",
     "DerivativeStencil",
-    "ErrorReport",
     "FAMILIES",
     "Field",
     "FieldSpec",
@@ -80,7 +74,6 @@ __all__ = [
     "SCHEME_TAGS",
     "SUPPORTED_SIZES",
     "StencilMatrix",
-    "WindowAssignment",
     "apply_method",
     "as_field",
     "as_kernel",
@@ -93,10 +86,7 @@ __all__ = [
     "conv2d_valid",
     "derivative_stencil",
     "derive_seed",
-    "exact_transform",
-    "exact_transforms",
     "extrapolation_degree",
-    "float_transforms",
     "generate",
     "half_width",
     "identity_kernel",
@@ -117,7 +107,4 @@ __all__ = [
     "save_array",
     "spherical_Y",
     "stencil_matrix",
-    "transform_kernel",
-    "warm_cache",
-    "window_assignment",
 ]

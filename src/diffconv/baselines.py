@@ -10,11 +10,10 @@ they share its accumulation path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .engine import as_field, conv2d_valid
+from .engine import _pad_extrapolate, as_field, conv2d_valid
 from .stencils import half_width
 from .transform import as_kernel
 
@@ -50,38 +49,6 @@ def band_thickness(k: int) -> int:
     """Edge-band thickness used by distribution padding: (K + 1) / 2."""
     half_width(k)
     return (k + 1) // 2
-
-
-def _extrapolation_weights(degree: int, margin: int) -> np.ndarray:
-    # weights[j, t-1] is the Lagrange basis l_j evaluated at -t for nodes
-    # 0..degree, so a margin value t cells beyond the edge is the degree-d
-    # polynomial through the nearest degree+1 pixels. Exact, then floated.
-    weights = np.empty((degree + 1, margin), dtype=np.float64)
-    for j in range(degree + 1):
-        den = 1
-        for n in range(degree + 1):
-            if n != j:
-                den *= j - n
-        for t in range(1, margin + 1):
-            num = 1
-            for n in range(degree + 1):
-                if n != j:
-                    num *= -t - n
-            weights[j, t - 1] = float(Fraction(num, den))
-    return weights
-
-
-def _pad_extrapolate(field: np.ndarray, k: int) -> np.ndarray:
-    m = half_width(k)
-    degree = extrapolation_degree(k)
-    weights = _extrapolation_weights(degree, m)
-    h, w = field.shape
-    left = (field[:, :degree + 1] @ weights)[:, ::-1]
-    right = field[:, ::-1][:, :degree + 1] @ weights
-    widened = np.hstack([left, field, right])
-    top = (weights.T @ widened[:degree + 1, :])[::-1, :]
-    bottom = weights.T @ widened[::-1, :][:degree + 1, :]
-    return np.vstack([top, widened, bottom])
 
 
 def _pad_distribution(field: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -138,7 +105,7 @@ def pad(field, k: int, scheme) -> np.ndarray:
     if chosen.tag == "circular":
         return np.pad(arr, m, mode="wrap")
     if chosen.tag == "extrapolate":
-        return _pad_extrapolate(arr, k)
+        return _pad_extrapolate(arr, k, extrapolation_degree(k))
     return _pad_distribution(arr, k, chosen.seed)
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -52,22 +50,3 @@ def interior_frame_split(error_map, frame_width: int) -> tuple[float, float]:
     inner_count = inner.size
     frame_count = arr.size - inner_count
     return inner_sum / inner_count, (total_sum - inner_sum) / frame_count
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Per-method errors for one (field, kernel) pair."""
-
-    method: str
-    eps1: float
-    eps2: float
-    interior: float | None = None
-    frame: float | None = None
-
-    @property
-    def frame_interior_ratio(self) -> float:
-        if self.interior is None or self.frame is None:
-            raise ValueError("report has no interior/frame split")
-        if self.interior <= 0.0:
-            raise ValueError("frame/interior ratio is undefined for zero interior error")
-        return self.frame / self.interior

@@ -10,7 +10,9 @@ K x K window of pixel values, yields a mixed derivative of the window's
 interpolating polynomial at one in-window pixel. Stencil matrices collect the
 K^2 vectorized stencils of one pixel as columns; the inverse of the matrix at
 the window center is what turns a convolution kernel into operator
-coefficients.
+coefficients. Both factor per axis: the center matrix and its inverse are
+Kronecker products of K x K factors, and so is every position's kernel
+transform, through the Lagrange shift matrices of ``shift_matrix``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 
@@ -115,6 +117,37 @@ def lagrange_derivative(k: int, node: int, order: int, at: int) -> Fraction:
     return _derivative_table(k)[order][node][at]
 
 
+def lagrange_values(n: int, at: int) -> tuple[Fraction, ...]:
+    """Exact values l_0(at), ..., l_{n-1}(at) of the Lagrange basis on the
+    unit-spaced nodes 0..n-1, at any integer point ``at`` (inside the nodes
+    or beyond them, where they are extrapolation weights)."""
+    values = []
+    for node in range(n):
+        num = den = 1
+        for j in range(n):
+            if j != node:
+                num *= at - j
+                den *= node - j
+        values.append(Fraction(num, den))
+    return tuple(values)
+
+
+def shift_matrix(k: int, r: int) -> FractionMatrix:
+    """Exact K x K Lagrange shift matrix t_r[i][a] = l_i(a + r - m).
+
+    Applying kernel row ``a`` at in-window row ``r`` reads the window
+    interpolant at a + r - m; column ``a`` holds the weights that evaluate it
+    from the window's K samples (Fornberg's one-sided finite-difference
+    weights of order zero). The entries are integers, t_m is the identity,
+    and the transform of a kernel W to in-window position (r, s) is
+    t_r W t_s^T, i.e. kron(t_r, t_s) acting on the vectorized kernel.
+    """
+    m = half_width(k)
+    r = _check_index("r", r, k)
+    columns = [lagrange_values(k, a + r - m) for a in range(k)]
+    return tuple(zip(*columns))
+
+
 @dataclass(frozen=True)
 class DerivativeStencil:
     """K x K weights extracting one mixed interpolant derivative at pixel (y, x).
@@ -208,42 +241,25 @@ def mat_to_floats(entries: FractionMatrix) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in entries], dtype=np.float64)
 
 
-def _gauss_jordan_inverse(matrix: FractionMatrix) -> FractionMatrix:
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    inv = [list(row) for row in mat_identity(n)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
-        if work[pivot_row][col] == 0:
-            raise ArithmeticError("stencil matrix is singular; exact inversion failed")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        inv[col] = [v / pivot for v in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor:
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
 def invert_center_matrix(k: int) -> FractionMatrix:
     """Exact inverse of the stencil matrix at the window center.
 
-    Fraction-preserving Gauss-Jordan elimination with magnitude pivoting; the
-    matrix is provably invertible for every supported size, so a singular
-    pivot is an internal error rather than a user-facing condition.
+    The center matrix is kron(D, D) with D[i, o] = l_i^(o)(m), and D is
+    inverted by the Taylor matrix B[o, i] = (i - m)^o / o!: interpolation
+    reproduces (x - m)^o / o!, whose o'-th derivative at m is delta(o, o').
+    The inverse is therefore kron(B, B), with rows order_y*K+order_x and
+    columns i*K+j, and needs no elimination.
     """
     m = half_width(k)
     with _CACHE_LOCK:
         cached = _CENTER_INVERSES.get(k)
         if cached is None:
-            cached = _gauss_jordan_inverse(stencil_matrix(k, m, m).entries)
+            taylor = [[Fraction((i - m) ** o, factorial(o)) for i in range(k)] for o in range(k)]
+            cached = tuple(
+                tuple(taylor[oy][i] * taylor[ox][j] for i in range(k) for j in range(k))
+                for oy in range(k)
+                for ox in range(k)
+            )
             _CENTER_INVERSES[k] = cached
         return cached
 
@@ -264,20 +280,8 @@ def center_condition_number(k: int) -> float:
     return float(norm1(center) * norm1(inverse))
 
 
-def warm_cache(sizes=(3, 5, 7)) -> None:
-    """Precompute derivative tables and center inverses for the given sizes."""
-    for k in sizes:
-        _derivative_table(k)
-        invert_center_matrix(k)
-
-
 def fraction_to_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def fraction_from_string(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def matrix_payload(entries: FractionMatrix, exact: bool):

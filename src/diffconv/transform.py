@@ -1,12 +1,12 @@
 """Kernel transforms for boundary positions.
 
 A convolution kernel is equivalent to a linear differential operator acting on
-the window interpolant at the window center. Solving the center stencil system
-gives the operator's coefficient vector; re-evaluating that operator at any
-other in-window position yields a transformed kernel that acts on the nearest
-complete window instead. The per-position transform matrices are materialized
-exactly in rational arithmetic once per kernel size and converted to float64
-for the runtime path.
+the window interpolant at the window center. Re-evaluating that operator at
+another in-window position (r, s) gives a transformed kernel that acts on the
+nearest complete window instead. The transform is separable: it is
+t_r W t_s^T for the K x K kernel W, where t_r is the integer Lagrange shift
+matrix of :func:`diffconv.stencils.shift_matrix`. Only the K shift matrices
+are kept, as float64, per kernel size.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stencils import (
-    FractionMatrix,
     half_width,
     invert_center_matrix,
-    mat_mul,
     mat_to_floats,
+    shift_matrix,
     stencil_matrix,
 )
 
@@ -30,8 +29,7 @@ from .stencils import (
 # the lock may be held while calling into the stencils module, never the
 # other way around.
 _LOCK = threading.RLock()
-_EXACT_BANKS: dict[int, tuple[FractionMatrix, ...]] = {}
-_FLOAT_BANKS: dict[int, np.ndarray] = {}
+_SHIFT_FACTORS: dict[int, np.ndarray] = {}
 _FLOAT_CENTER: dict[int, np.ndarray] = {}
 _FLOAT_CENTER_INV: dict[int, np.ndarray] = {}
 
@@ -54,43 +52,16 @@ def identity_kernel(k: int) -> np.ndarray:
     return kernel
 
 
-def exact_transforms(k: int) -> tuple[FractionMatrix, ...]:
-    """All K^2 exact transform matrices, indexed by target position r*K+s.
-
-    Entry r*K+s maps a vectorized kernel to the kernel that reproduces its
-    action at in-window position (r, s) when applied over the full window.
-    The entry for the center position is exactly the identity.
-    """
+def _shift_factors(k: int) -> np.ndarray:
+    """The K shift matrices t_0..t_{K-1} as float64, shape (K, K, K). Their
+    entries are integers, so the floats are exact."""
     half_width(k)
     with _LOCK:
-        cached = _EXACT_BANKS.get(k)
+        cached = _SHIFT_FACTORS.get(k)
         if cached is None:
-            inverse = invert_center_matrix(k)
-            cached = tuple(
-                mat_mul(stencil_matrix(k, r, s).entries, inverse)
-                for r in range(k)
-                for s in range(k)
-            )
-            _EXACT_BANKS[k] = cached
-        return cached
-
-
-def exact_transform(k: int, r: int, s: int) -> FractionMatrix:
-    half_width(k)
-    if not (0 <= r < k and 0 <= s < k):
-        raise ValueError(f"position must be in 0..{k - 1} per axis, got ({r}, {s})")
-    return exact_transforms(k)[r * k + s]
-
-
-def float_transforms(k: int) -> np.ndarray:
-    """Float64 copy of the exact transform bank, shape (K^2, K^2, K^2)."""
-    half_width(k)
-    with _LOCK:
-        cached = _FLOAT_BANKS.get(k)
-        if cached is None:
-            cached = np.stack([mat_to_floats(t) for t in exact_transforms(k)])
+            cached = np.stack([mat_to_floats(shift_matrix(k, r)) for r in range(k)])
             cached.setflags(write=False)
-            _FLOAT_BANKS[k] = cached
+            _SHIFT_FACTORS[k] = cached
         return cached
 
 
@@ -140,21 +111,6 @@ def kernel_from_operator(coeffs) -> np.ndarray:
     if not np.all(np.isfinite(alpha)):
         raise ValueError("coefficients must be finite")
     return (_float_center(k) @ alpha).reshape(k, k)
-
-
-def transform_kernel(kernel, r: int, s: int) -> np.ndarray:
-    """Kernel to apply over the nearest complete window so that its action
-    matches ``kernel`` at in-window position (r, s). The center position
-    returns the kernel unchanged."""
-    arr = as_kernel(kernel)
-    k = arr.shape[0]
-    if not (0 <= r < k and 0 <= s < k):
-        raise ValueError(f"position must be in 0..{k - 1} per axis, got ({r}, {s})")
-    m = half_width(k)
-    if (r, s) == (m, m):
-        return arr.copy()
-    t = float_transforms(k)[r * k + s]
-    return (t @ arr.reshape(k * k)).reshape(k, k)
 
 
 @dataclass(frozen=True)
@@ -211,14 +167,16 @@ class KernelBank:
 def build_bank(kernel) -> KernelBank:
     """Build the full transformed-kernel bank for one kernel.
 
-    The center entry is the original kernel verbatim; all other entries come
-    from a single batched matrix-vector product against the float transform
-    bank.
+    Entry (r, s) is t_r W t_s^T; the center entry is the original kernel
+    verbatim.
     """
     arr = as_kernel(kernel)
     k = arr.shape[0]
     m = half_width(k)
-    kernels = (float_transforms(k) @ arr.reshape(k * k)).reshape(k * k, k, k)
+    factors = _shift_factors(k)
+    # kernels[r, s] = (t_r @ W) @ t_s.T, broadcast over r and s.
+    kernels = np.matmul((factors @ arr)[:, None], factors.transpose(0, 2, 1)[None])
+    kernels = kernels.reshape(k * k, k, k)
     kernels[m * k + m] = arr
     kernels.setflags(write=False)
     base = arr.copy()

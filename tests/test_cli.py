@@ -211,6 +211,24 @@ def test_filter_malformed_npy_is_runtime_error(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_filter_overflow_is_runtime_error(runner, tmp_path):
+    img_path, ker_path, out_path = tmp_path / "i.npy", tmp_path / "k.npy", tmp_path / "o.npy"
+    image = np.full((12, 12), 1e301)
+    image[::2, ::2] = -1e301
+    save_array(img_path, image)
+    save_array(ker_path, np.ones((9, 9)))
+    result = runner.invoke(
+        main,
+        ["filter", "--input", str(img_path), "--kernel", str(ker_path),
+         "--method", "diff", "--output", str(out_path)],
+    )
+    assert result.exit_code == 1
+    assert "not finite for K=9" in result.stderr
+    assert "3.002e+08" in result.stderr
+    assert result.stdout == ""
+    assert not out_path.exists()
+
+
 def test_compare_row_count_and_determinism(runner, tmp_path):
     args = ["compare", "--family", "chebyshev", "--orders", "1:3", "--height", "16",
             "--width", "16", "--size", "3", "--filters", "2", "--seed", "9"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffconv.metrics import ErrorReport, interior_frame_split, l1_error, mse
+from diffconv.metrics import interior_frame_split, l1_error, mse
 
 
 def test_identical_fields_have_zero_error():
@@ -90,12 +90,3 @@ def test_split_rejects_thin_maps():
         interior_frame_split(np.zeros((8, 20)), 4)
     with pytest.raises(ValueError):
         interior_frame_split(np.zeros((20, 20)), 0)
-
-
-def test_error_report_ratio():
-    report = ErrorReport(method="zero", eps1=1.0, eps2=2.0, interior=0.5, frame=1.5)
-    assert report.frame_interior_ratio == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        ErrorReport(method="diff", eps1=0.0, eps2=0.0, interior=0.0, frame=1.0).frame_interior_ratio
-    with pytest.raises(ValueError):
-        ErrorReport(method="diff", eps1=0.0, eps2=0.0).frame_interior_ratio

@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffconv.stencils import derivative_stencil, half_width, mat_identity
+from diffconv.stencils import (
+    derivative_stencil,
+    half_width,
+    invert_center_matrix,
+    mat_identity,
+    mat_mul,
+    shift_matrix,
+    stencil_matrix,
+)
 from diffconv.transform import (
     KernelBank,
     as_kernel,
     build_bank,
-    exact_transform,
-    float_transforms,
     identity_kernel,
     kernel_from_operator,
     operator_coeffs,
-    transform_kernel,
 )
 
 LAPLACE_3 = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
@@ -115,7 +120,7 @@ def test_round_trip_coefficients(k):
 
 
 def test_transform_box_blur_corner():
-    assert np.array_equal(transform_kernel(np.ones((3, 3)), 0, 0), BOX_BLUR_CORNER)
+    assert np.array_equal(build_bank(np.ones((3, 3))).kernel_at(0, 0), BOX_BLUR_CORNER)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -123,22 +128,27 @@ def test_transform_center_is_noop(k):
     rng = np.random.default_rng(300 + k)
     omega = rng.uniform(-1.0, 1.0, size=(k, k))
     m = half_width(k)
-    assert np.array_equal(transform_kernel(omega, m, m), omega)
+    assert np.array_equal(build_bank(omega).kernel_at(m, m), omega)
 
 
 def test_transform_identity_kernel_gives_indicators():
-    for r in range(3):
-        for s in range(3):
-            expected = np.zeros((3, 3))
-            expected[r, s] = 1.0
-            assert np.array_equal(transform_kernel(identity_kernel(3), r, s), expected)
+    # K = 3 is covered by test_bank_of_identity_kernel_is_indicators.
+    for k in (5, 7):
+        bank = build_bank(identity_kernel(k))
+        for r in range(k):
+            for s in range(k):
+                expected = np.zeros((k, k))
+                expected[r, s] = 1.0
+                assert np.array_equal(bank.kernel_at(r, s), expected)
 
 
 def test_transform_rejects_bad_position():
     with pytest.raises(ValueError):
-        transform_kernel(np.ones((3, 3)), 3, 0)
+        shift_matrix(3, 3)
     with pytest.raises(ValueError):
-        transform_kernel(np.ones((3, 3)), 0, -1)
+        shift_matrix(3, -1)
+    with pytest.raises(ValueError):
+        build_bank(np.ones((3, 3))).kernel_at(0, -1)
 
 
 def test_as_kernel_rejects_bad_input():
@@ -150,34 +160,64 @@ def test_as_kernel_rejects_bad_input():
         as_kernel(np.array([[np.nan] * 3] * 3))
 
 
+def kron(a, b):
+    """Exact Kronecker product of two square Fraction matrices."""
+    n = len(b)
+    return tuple(
+        tuple(a[i][p] * b[j][q] for p in range(len(a)) for q in range(n))
+        for i in range(len(a))
+        for j in range(n)
+    )
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_exact_center_transform_is_identity(k):
     m = half_width(k)
-    assert exact_transform(k, m, m) == mat_identity(k * k)
-    bank = float_transforms(k)
-    assert np.array_equal(bank[m * k + m], np.eye(k * k))
+    assert shift_matrix(k, m) == mat_identity(k)
+    assert kron(shift_matrix(k, m), shift_matrix(k, m)) == mat_identity(k * k)
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_exact_transform_columns_sum_to_one(k):
-    # kernel-sum preservation: the all-ones row is a left eigenvector of every
-    # transform; checked by exact summation
+    # kernel-sum preservation: every column of every t_r sums to one (the
+    # Lagrange basis is a partition of unity), so every kron(t_r, t_s) does
     for r in range(k):
-        for s in range(k):
-            t = exact_transform(k, r, s)
-            for col in range(k * k):
-                assert sum(t[row][col] for row in range(k * k)) == 1
+        t = shift_matrix(k, r)
+        for col in range(k):
+            assert sum(t[row][col] for row in range(k)) == 1
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_exact_transforms_have_integer_entries(k):
-    # the rational products collapse to integers, so the float transform bank
-    # is an exact representation
+    # the shift matrices are integer, so the float factors are exact
     for r in range(k):
-        for s in range(k):
-            for row in exact_transform(k, r, s):
-                for value in row:
-                    assert value.denominator == 1
+        for row in shift_matrix(k, r):
+            for value in row:
+                assert value.denominator == 1
+
+
+def positions(k: int, full: bool):
+    if full:
+        return [(r, s) for r in range(k) for s in range(k)]
+    m = half_width(k)
+    last = k - 1
+    return [(0, 0), (0, last), (last, 0), (last, last), (0, m), (m, 0), (last, m), (m, last)]
+
+
+@pytest.mark.parametrize("k,full", [(3, True), (5, True), (7, True), (9, False)])
+def test_transform_is_kron_of_shift_matrices(k, full):
+    # T(r, s) = D(r, s) D(center)^-1, the paper's transform, equals
+    # kron(t_r, t_s) exactly; the float bank's columns (transforms of unit
+    # kernels) equal it bit for bit. K = 9 checks corners and edge midpoints,
+    # a full sweep costs about 15 s of Fraction products.
+    inverse = invert_center_matrix(k)
+    units = np.eye(k * k).reshape(k * k, k, k)
+    banks = np.stack([build_bank(unit).kernels for unit in units])  # [col, pos, i, j]
+    for r, s in positions(k, full):
+        separable = kron(shift_matrix(k, r), shift_matrix(k, s))
+        assert mat_mul(stencil_matrix(k, r, s).entries, inverse) == separable
+        floats = np.array([[float(v) for v in row] for row in separable])
+        assert np.array_equal(banks[:, r * k + s].reshape(k * k, k * k).T, floats)
 
 
 @pytest.mark.parametrize("k,bound", [(5, 1e-11), (7, 1e-8)])
@@ -229,11 +269,9 @@ def test_transform_linearity(k):
     a, b = 0.7, -1.3
     om1 = rng.uniform(-1.0, 1.0, size=(k, k))
     om2 = rng.uniform(-1.0, 1.0, size=(k, k))
-    for r in range(k):
-        for s in range(k):
-            lhs = transform_kernel(a * om1 + b * om2, r, s)
-            rhs = a * transform_kernel(om1, r, s) + b * transform_kernel(om2, r, s)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    lhs = build_bank(a * om1 + b * om2).kernels
+    rhs = a * build_bank(om1).kernels + b * build_bank(om2).kernels
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_bank_json_round_trip():
