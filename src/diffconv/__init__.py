@@ -36,7 +36,7 @@ from .fields import (
     random_kernels,
     spherical_Y,
 )
-from .metrics import interior_frame_split, l1_error, mse
+from .metrics import l1_error, mse
 from .npyio import ArrayFileError, load_array, save_array
 from .stencils import (
     SUPPORTED_SIZES,
@@ -90,7 +90,6 @@ __all__ = [
     "generate",
     "half_width",
     "identity_kernel",
-    "interior_frame_split",
     "invert_center_matrix",
     "kernel_from_operator",
     "l1_error",

@@ -51,29 +51,35 @@ def band_thickness(k: int) -> int:
     return (k + 1) // 2
 
 
-def _pad_distribution(field: np.ndarray, k: int, seed: int) -> np.ndarray:
-    # Margins are i.i.d. normal with mean/std estimated per edge band of the
-    # original field (sample std, ddof=1). Stream: PCG64 via
-    # numpy.random.default_rng(seed), standard_normal draws in fixed order
-    # left, right, top, bottom, so margins depend only on (seed, shape, k).
-    m = half_width(k)
+def _distribution_stats(field: np.ndarray, k: int) -> tuple[tuple[float, float], ...]:
+    """(mean, sample std with ddof=1) of the left, right, top and bottom edge
+    bands of thickness (K + 1) / 2: the parameters of distribution padding."""
     thickness = band_thickness(k)
     h, w = field.shape
+    bands = (field[:, :thickness], field[:, w - thickness:],
+             field[:thickness, :], field[h - thickness:, :])
+    return tuple((float(np.mean(band)), float(np.std(band, ddof=1))) for band in bands)
+
+
+def _draw_distribution(padded: np.ndarray, m: int, stats, seed: int) -> None:
+    # Overwrite the margin of ``padded`` with i.i.d. normal draws per edge.
+    # Stream: PCG64 via numpy.random.default_rng(seed), standard_normal draws
+    # in fixed order left, right, top, bottom, so margins depend only on
+    # (seed, shape, k).
+    (mu_l, sd_l), (mu_r, sd_r), (mu_t, sd_t), (mu_b, sd_b) = stats
+    h, w = padded.shape[0] - 2 * m, padded.shape[1]
     rng = np.random.default_rng(seed)
+    padded[m:m + h, :m] = mu_l + sd_l * rng.standard_normal((h, m))
+    padded[m:m + h, w - m:] = mu_r + sd_r * rng.standard_normal((h, m))
+    padded[:m] = mu_t + sd_t * rng.standard_normal((m, w))
+    padded[m + h:] = mu_b + sd_b * rng.standard_normal((m, w))
 
-    def stats(band: np.ndarray) -> tuple[float, float]:
-        return float(np.mean(band)), float(np.std(band, ddof=1))
 
-    mu_l, sd_l = stats(field[:, :thickness])
-    mu_r, sd_r = stats(field[:, w - thickness:])
-    mu_t, sd_t = stats(field[:thickness, :])
-    mu_b, sd_b = stats(field[h - thickness:, :])
-    left = mu_l + sd_l * rng.standard_normal((h, m))
-    right = mu_r + sd_r * rng.standard_normal((h, m))
-    widened = np.hstack([left, field, right])
-    top = mu_t + sd_t * rng.standard_normal((m, w + 2 * m))
-    bottom = mu_b + sd_b * rng.standard_normal((m, w + 2 * m))
-    return np.vstack([top, widened, bottom])
+def _pad_distribution(field: np.ndarray, k: int, seed: int) -> np.ndarray:
+    m = half_width(k)
+    padded = np.pad(field, m)
+    _draw_distribution(padded, m, _distribution_stats(field, k), seed)
+    return padded
 
 
 def pad(field, k: int, scheme) -> np.ndarray:
@@ -129,9 +135,14 @@ def partial_conv2d(field, kernel) -> np.ndarray:
     if h < 1 or w < 1:
         raise ValueError("field must be non-empty")
     padded = conv2d_valid(np.pad(arr, m, mode="constant"), ker)
+    return padded * _partial_scale(h, w, k)
+
+
+def _partial_scale(h: int, w: int, k: int) -> np.ndarray:
+    """K^2 / (in-image pixels per window) for each pixel of an h x w output."""
+    m = half_width(k)
     ys = np.arange(h)
     xs = np.arange(w)
     row_counts = np.minimum(ys + m, h - 1) - np.maximum(ys - m, 0) + 1
     col_counts = np.minimum(xs + m, w - 1) - np.maximum(xs - m, 0) + 1
-    counts = np.outer(row_counts, col_counts)
-    return padded * ((k * k) / counts)
+    return (k * k) / np.outer(row_counts, col_counts)

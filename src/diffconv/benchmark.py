@@ -8,15 +8,21 @@ results are identical no matter how the work is scheduled.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import PaddingScheme, conv2d_padded, partial_conv2d
-from .engine import conv2d_diff
-from .fields import FieldSpec, RandomKernelSpec, generate, oracle_convolution, random_kernels
-from .metrics import l1_error, mse
+from .baselines import (
+    PaddingScheme,
+    _distribution_stats,
+    _draw_distribution,
+    _partial_scale,
+    conv2d_padded,
+    pad,
+    partial_conv2d,
+)
+from .engine import _accumulate, _check_diff_finite, _pad_extrapolate, as_field, conv2d_diff
+from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
 from .stencils import half_width
 
 METHODS = (
@@ -85,55 +91,86 @@ def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.nda
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def run_benchmark(config: BenchmarkConfig, threads: int = 1) -> list[tuple]:
+def _bands(a: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top and bottom edge bands of ``a``, ``width`` wide, stacked as
+    (2, width, W), and its left and right ones stacked as (2, H, width)."""
+    return np.stack([a[:width], a[-width:]]), np.stack([a[:, :width], a[:, -width:]])
+
+
+def _flat(tb: np.ndarray, lr: np.ndarray) -> np.ndarray:
+    """Band stacks as from :func:`_bands`, with any leading axes, joined into
+    one vector per leading index: top, bottom, left, right."""
+    lead = tb.shape[:-3]
+    return np.concatenate([tb.reshape(lead + (-1,)), lr.reshape(lead + (-1,))], axis=-1)
+
+
+def _padded(method: str, core: np.ndarray, k: int) -> np.ndarray:
+    """The field a method convolves; distribution's margin is drawn per kernel."""
+    if method == "diff":
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _pad_extrapolate(core, k, k - 1)
+    if method in ("partial", "distribution"):
+        return pad(core, k, "zero")
+    return pad(core, k, method)
+
+
+def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     """Rows of (family, order, method, kernel_index, eps1, eps2).
 
     Row order is fixed: orders outermost, then methods, then kernel index.
-    ``threads`` only parallelizes across kernels; it never changes the output.
+
+    Only the m-wide output frame is evaluated. Off it, every method and the
+    oracle run the same valid convolution over the field's own pixels, so
+    the error there is exactly 0. On it, each output is the valid
+    convolution of the 3m-wide edge bands of the padded field, the same
+    arithmetic per pixel as the full convolution. The error maps are the
+    frame written into zeros, so eps1 and eps2 are bitwise ``l1_error`` and
+    ``mse`` of each method's ``apply_method`` output against
+    ``oracle_convolution``.
     """
-    m = half_width(config.size)
-    kernels = random_kernels(
-        RandomKernelSpec(size=config.size, count=config.filter_count, seed=config.seed)
-    )
+    k, h, w = config.size, config.height, config.width
+    m = half_width(k)
+    # One slot per distinct method; slot 0 is the oracle.
+    slot = {method: s for s, method in enumerate(dict.fromkeys(config.methods), start=1)}
+    kernels = random_kernels(RandomKernelSpec(size=k, count=config.filter_count, seed=config.seed))
+    scale = _flat(*_bands(_partial_scale(h, w, k), m))
+    frame = _flat(*_bands(np.arange(h * w).reshape(h, w), m))  # flat index of each frame entry
+    error_map = np.zeros((h, w))
+    in_tb = np.empty((len(slot) + 1, 2, 3 * m, w + 2 * m))
+    in_lr = np.empty((len(slot) + 1, 2, h + 2 * m, 3 * m))
     rows: list[tuple] = []
     for order in config.orders:
-        fld = generate(
-            FieldSpec(
-                family=config.family,
-                height=config.height,
-                width=config.width,
-                order=order,
-                margin=m,
-            )
-        )
+        fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
         core = fld.core
-
-        def one_kernel(j: int, order: int = order, fld=fld, core=core) -> dict[str, tuple]:
-            ker = kernels[j]
-            truth = oracle_convolution(fld, ker)
-            # Only distribution padding consumes the seed.
-            seed = derive_seed(config.seed, order, j) if "distribution" in config.methods else 0
-            out = {}
-            for method in config.methods:
-                result = apply_method(method, core, ker, seed=seed)
-                out[method] = (
-                    config.family,
-                    order,
-                    method,
-                    j,
-                    l1_error(result, truth),
-                    mse(result, truth),
-                )
-            return out
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                per_kernel = list(pool.map(one_kernel, range(config.filter_count)))
-        else:
-            per_kernel = [one_kernel(j) for j in range(config.filter_count)]
+        in_tb[0], in_lr[0] = _bands(as_field(fld.data), 3 * m)
+        for method, s in slot.items():
+            padded = _padded(method, core, k)
+            in_tb[s], in_lr[s] = _bands(padded, 3 * m)
+            if method == "distribution":
+                dist, dist_stats = padded, _distribution_stats(core, k)
+        eps = []
+        for j, ker in enumerate(kernels):
+            if "distribution" in slot:
+                _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
+                in_tb[slot["distribution"]], in_lr[slot["distribution"]] = _bands(dist, 3 * m)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = _flat(_accumulate(in_tb, ker), _accumulate(in_lr, ker))
+            if "diff" in slot:
+                _check_diff_finite(out[slot["diff"]], k)
+            if "partial" in slot:
+                out[slot["partial"]] *= scale
+            d = out[1:] - out[0]
+            cell = []
+            for err in (np.abs(d), d * d):
+                for slot_err in err:
+                    error_map.reshape(-1)[frame] = slot_err
+                    cell.append(float(np.mean(error_map)))
+            eps.append(cell)
+        n = len(slot)
         for method in config.methods:
+            s = slot[method] - 1
             for j in range(config.filter_count):
-                rows.append(per_kernel[j][method])
+                rows.append((config.family, order, method, j, eps[j][s], eps[j][n + s]))
     return rows
 
 

@@ -3,14 +3,12 @@ arrays, and run method-comparison benchmarks.
 
 Arrays travel as NPY v1.0 float64 files, benchmark reports as CSV. Exit codes:
 0 on success, 2 on usage errors, 1 on runtime errors. Diagnostics go to
-stderr; data goes to files or stdout only. ``DIFFCONV_THREADS`` overrides the
-benchmark thread count.
+stderr; data goes to files or stdout only.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -216,16 +214,6 @@ def _parse_orders(text: str) -> tuple[int, ...]:
         raise _usage(f"orders must be 'A:B' or a comma list of integers, got {text!r}")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("DIFFCONV_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        click.echo(f"warning: ignoring non-integer DIFFCONV_THREADS={raw!r}", err=True)
-        return 1
-    return max(1, value)
-
-
 @main.command()
 @click.option("--family", type=click.Choice(("chebyshev", "spherical")), default="chebyshev",
               show_default=True)
@@ -255,7 +243,7 @@ def compare(family, orders, height, width, size, filter_count, seed, methods, ou
         )
     except ValueError as exc:
         raise _usage(str(exc))
-    rows = run_benchmark(config, threads=_thread_count())
+    rows = run_benchmark(config)
     _emit(rows_to_csv(rows), output)
 
 

@@ -45,14 +45,15 @@ def _check_sizes(field: np.ndarray, k: int) -> None:
 
 
 def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Valid product-sum accumulated in fixed (i, j) order, so the per-pixel
-    # arithmetic path is identical wherever the same window appears.
+    # Valid product-sum over the last two axes (leading axes are a batch),
+    # accumulated in fixed (i, j) order, so the per-pixel arithmetic path is
+    # identical wherever the same window appears.
     k = kernel.shape[0]
-    ny, nx = field.shape[0] - k + 1, field.shape[1] - k + 1
-    out = np.zeros((ny, nx), dtype=np.float64)
+    ny, nx = field.shape[-2] - k + 1, field.shape[-1] - k + 1
+    out = np.zeros(field.shape[:-2] + (ny, nx), dtype=np.float64)
     for i in range(k):
         for j in range(k):
-            out += kernel[i, j] * field[i:i + ny, j:j + nx]
+            out += kernel[i, j] * field[..., i:i + ny, j:j + nx]
     return out
 
 
@@ -111,6 +112,13 @@ def conv2d_diff(field, kernel, bank: KernelBank | None = None) -> np.ndarray:
         raise ValueError(f"bank is for size {bank.size}, kernel has size {k}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _accumulate(_pad_extrapolate(arr, k, k - 1), ker)
+    _check_diff_finite(out, k)
+    return out
+
+
+def _check_diff_finite(out: np.ndarray, k: int) -> None:
+    """Raise ``ValueError`` naming K and the corner gain unless every entry of
+    ``diff`` output ``out`` is finite."""
     if not np.all(np.isfinite(out)):
         gain = float(np.max(np.abs(_extrapolation_weights(k - 1, half_width(k))))) ** 2
         raise ValueError(
@@ -118,4 +126,3 @@ def conv2d_diff(field, kernel, bank: KernelBank | None = None) -> np.ndarray:
             f"scales field values by up to the corner gain ||t||_inf^2 = {gain:.4g}; "
             f"rescale the field"
         )
-    return out

@@ -8,6 +8,8 @@ Round trips are bitwise lossless.
 from __future__ import annotations
 
 import ast
+import os
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,12 @@ class ArrayFileError(ValueError):
 
 
 def save_array(path, array) -> None:
-    """Write a 2D float64 array as NPY v1.0 (little-endian, C order)."""
+    """Write a 2D float64 array as NPY v1.0 (little-endian, C order).
+
+    The file is written under a temporary name in the target's directory and
+    then renamed onto ``path``, so ``path`` holds either its old content or
+    the complete new file, never a partial one.
+    """
     arr = np.asarray(array)
     if arr.ndim != 2:
         raise ArrayFileError(f"only 2D arrays are supported, got shape {arr.shape}")
@@ -33,12 +40,21 @@ def save_array(path, array) -> None:
     prefix_len = len(_MAGIC) + len(_VERSION) + 2
     total = prefix_len + len(header) + 1
     header = header + " " * (-total % 64) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_VERSION)
-        fh.write(len(header).to_bytes(2, "little"))
-        fh.write(header.encode("latin1"))
-        fh.write(arr.tobytes(order="C"))
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    # Mode 0o666 as open(path, "wb") uses, so the umask applies the same way.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(_VERSION)
+            fh.write(len(header).to_bytes(2, "little"))
+            fh.write(header.encode("latin1"))
+            fh.write(arr.tobytes(order="C"))
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_array(path) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Acceptance suite: each numbered check runs at its stated tolerance and
 prints one pass/fail line."""
 
-import os
 import time
 from fractions import Fraction
 
@@ -238,7 +237,7 @@ def test_criterion_7_benchmark_ordering():
         seed=20240501,
         methods=METHODS,
     )
-    rows = run_benchmark(config, threads=int(os.environ.get("DIFFCONV_THREADS", "1")))
+    rows = run_benchmark(config)
     eps1: dict[int, dict[str, list[float]]] = {}
     for _family, order, method, _j, e1, _e2 in rows:
         eps1.setdefault(order, {}).setdefault(method, []).append(e1)

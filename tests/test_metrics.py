@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffconv.metrics import interior_frame_split, l1_error, mse
+from diffconv.metrics import l1_error, mse
 
 
 def test_identical_fields_have_zero_error():
@@ -54,39 +54,3 @@ def test_zero_iff_equal(seed):
     assert l1_error(a, b) > 0.0
     assert mse(a, b) > 0.0
 
-
-def test_split_uniform_map():
-    interior, frame = interior_frame_split(np.full((20, 30), 0.25), 4)
-    assert interior == 0.25
-    assert frame == 0.25
-
-
-def test_split_block_geometry_192():
-    err = np.zeros((192, 192))
-    err[8:-8, 8:-8] = 2.0
-    err[err == 0.0] = 5.0
-    interior, frame = interior_frame_split(err, 8)
-    assert interior == 2.0
-    assert frame == 5.0
-    inner_count = 176 * 176
-    frame_count = 192 * 192 - inner_count
-    # weighted means recombine to the global mean only with these counts
-    total = interior * inner_count + frame * frame_count
-    assert total == pytest.approx(float(np.sum(err)))
-
-
-def test_split_counts_partition_pixels():
-    rng = np.random.default_rng(4)
-    err = rng.uniform(0.0, 1.0, size=(15, 11))
-    interior, frame = interior_frame_split(err, 3)
-    inner_count = (15 - 6) * (11 - 6)
-    frame_count = 15 * 11 - inner_count
-    recombined = (interior * inner_count + frame * frame_count) / (15 * 11)
-    assert recombined == pytest.approx(float(np.mean(err)), rel=1e-12)
-
-
-def test_split_rejects_thin_maps():
-    with pytest.raises(ValueError):
-        interior_frame_split(np.zeros((8, 20)), 4)
-    with pytest.raises(ValueError):
-        interior_frame_split(np.zeros((20, 20)), 0)

@@ -1,6 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
+from diffconv import npyio
 from diffconv.npyio import ArrayFileError, load_array, save_array
 
 
@@ -32,6 +36,48 @@ def test_interoperates_with_numpy(tmp_path):
     theirs = tmp_path / "theirs.npy"
     np.save(theirs, arr)
     assert np.array_equal(load_array(theirs), arr)
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "a.npy"
+    save_array(path, np.ones((3, 4)))
+    before = path.read_bytes()
+
+    class PayloadFails:
+        # Writes the header and the start of the payload, then fails.
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(data) > 1024:
+                self.fh.write(data[:100])
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(npyio, "open", lambda *a, **kw: PayloadFails(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_array(path, np.zeros((40, 50)))
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_saved_file_gets_the_permissions_of_a_plain_open(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        save_array(tmp_path / "saved.npy", np.zeros((2, 2)))
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE((tmp_path / "saved.npy").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o640
 
 
 def test_writer_rejects_non_2d():

@@ -1,10 +1,12 @@
 import json
+import sys
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from diffconv import stencils
 from diffconv.stencils import (
     SUPPORTED_SIZES,
     center_condition_number,
@@ -191,18 +193,32 @@ def test_condition_number_grows_with_size():
     assert conds[0] < conds[1] < conds[2]
 
 
-def test_warm_cache_and_thread_safety():
+def test_warm_cache_and_thread_safety(monkeypatch):
+    expected = invert_center_matrix(5)
+    # Drop the cached K = 5 entries, so that the threads race on the first build.
+    with stencils._CACHE_LOCK:
+        monkeypatch.delitem(stencils._CENTER_INVERSES, 5)
+        monkeypatch.delitem(stencils._TABLES, 5, raising=False)
+    barrier = threading.Barrier(8)
     results = []
 
     def worker():
+        barrier.wait(timeout=30)
         results.append(invert_center_matrix(5))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(r == expected for r in results)
 
 
 def test_json_payload_modes():
