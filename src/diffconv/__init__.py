@@ -40,30 +40,19 @@ from .metrics import l1_error, mse
 from .npyio import ArrayFileError, load_array, save_array
 from .stencils import (
     SUPPORTED_SIZES,
-    DerivativeStencil,
-    StencilMatrix,
     center_condition_number,
     derivative_stencil,
     half_width,
     invert_center_matrix,
-    lagrange_derivative,
     stencil_matrix,
 )
-from .transform import (
-    KernelBank,
-    as_kernel,
-    build_bank,
-    identity_kernel,
-    kernel_from_operator,
-    operator_coeffs,
-)
+from .transform import KernelBank, as_kernel, build_bank, kernel_from_operator
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrayFileError",
     "BenchmarkConfig",
-    "DerivativeStencil",
     "FAMILIES",
     "Field",
     "FieldSpec",
@@ -73,7 +62,6 @@ __all__ = [
     "RandomKernelSpec",
     "SCHEME_TAGS",
     "SUPPORTED_SIZES",
-    "StencilMatrix",
     "apply_method",
     "as_field",
     "as_kernel",
@@ -89,14 +77,11 @@ __all__ = [
     "extrapolation_degree",
     "generate",
     "half_width",
-    "identity_kernel",
     "invert_center_matrix",
     "kernel_from_operator",
     "l1_error",
-    "lagrange_derivative",
     "load_array",
     "mse",
-    "operator_coeffs",
     "oracle_convolution",
     "pad",
     "partial_conv2d",

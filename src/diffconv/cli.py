@@ -16,14 +16,15 @@ import numpy as np
 
 from .benchmark import METHODS, BenchmarkConfig, apply_method, run_benchmark, rows_to_csv
 from .fields import FAMILIES, FieldSpec, generate
-from .npyio import ArrayFileError, load_array, save_array
+from .npyio import ArrayFileError, load_array, save_array, write_atomic
 from .stencils import (
     center_condition_number,
     derivative_stencil,
     half_width,
     invert_center_matrix,
-    mat_mul,
+    kron,
     matrix_payload,
+    shift_matrix,
     stencil_matrix,
 )
 from .transform import build_bank, kernel_from_operator
@@ -62,8 +63,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(output, [text.encode("utf-8")])
 
 
 @main.command()
@@ -75,11 +75,8 @@ def kernels(size, pos, exact, output):
     """Dump derivative stencils, stencil matrices and the position transform as JSON."""
     size, m = _checked_size(size)
     r, s = (m, m) if pos is None else _parse_position(pos, size)
-    position_matrix = stencil_matrix(size, r, s)
-    center_inverse = invert_center_matrix(size)
-    transform = mat_mul(position_matrix.entries, center_inverse)
     stencils_payload = {
-        f"{oy},{ox}": matrix_payload(derivative_stencil(size, oy, ox, r, s).entries, exact)
+        f"{oy},{ox}": matrix_payload(derivative_stencil(size, oy, ox, r, s), exact)
         for oy in range(size)
         for ox in range(size)
     }
@@ -87,9 +84,10 @@ def kernels(size, pos, exact, output):
         "size": size,
         "position": [r, s],
         "derivative_stencils": stencils_payload,
-        "stencil_matrix": matrix_payload(position_matrix.entries, exact),
-        "center_inverse": matrix_payload(center_inverse, exact),
-        "transform": matrix_payload(transform, exact),
+        "stencil_matrix": matrix_payload(stencil_matrix(size, r, s), exact),
+        "center_inverse": matrix_payload(invert_center_matrix(size), exact),
+        # The transform D(r, s) D(center)^-1 is kron(t_r, t_s) exactly.
+        "transform": matrix_payload(kron(shift_matrix(size, r), shift_matrix(size, s)), exact),
         "center_condition_1norm": center_condition_number(size),
     }
     _emit(json.dumps(payload, indent=2) + "\n", output)

@@ -2,7 +2,8 @@
 
 The writer emits exactly this subset; the reader validates every header field
 and rejects anything outside it with a message naming the violated constraint.
-Round trips are bitwise lossless.
+Round trips are bitwise lossless. Files are written through
+:func:`write_atomic`, which the CLI also uses for its text outputs.
 """
 
 from __future__ import annotations
@@ -22,13 +23,30 @@ class ArrayFileError(ValueError):
     """Raised when a file is not a supported NPY v1.0 float64 2D array."""
 
 
-def save_array(path, array) -> None:
-    """Write a 2D float64 array as NPY v1.0 (little-endian, C order).
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path`` atomically.
 
     The file is written under a temporary name in the target's directory and
     then renamed onto ``path``, so ``path`` holds either its old content or
     the complete new file, never a partial one.
     """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    # Mode 0o666 as open(path, "wb") uses, so the umask applies the same way.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_array(path, array) -> None:
+    """Write a 2D float64 array as NPY v1.0 (little-endian, C order), atomically
+    (see :func:`write_atomic`)."""
     arr = np.asarray(array)
     if arr.ndim != 2:
         raise ArrayFileError(f"only 2D arrays are supported, got shape {arr.shape}")
@@ -40,21 +58,13 @@ def save_array(path, array) -> None:
     prefix_len = len(_MAGIC) + len(_VERSION) + 2
     total = prefix_len + len(header) + 1
     header = header + " " * (-total % 64) + "\n"
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
-    # Mode 0o666 as open(path, "wb") uses, so the umask applies the same way.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(_VERSION)
-            fh.write(len(header).to_bytes(2, "little"))
-            fh.write(header.encode("latin1"))
-            fh.write(arr.tobytes(order="C"))
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, [
+        _MAGIC,
+        _VERSION,
+        len(header).to_bytes(2, "little"),
+        header.encode("latin1"),
+        arr.tobytes(order="C"),
+    ])
 
 
 def load_array(path) -> np.ndarray:
@@ -72,7 +82,9 @@ def load_array(path) -> np.ndarray:
         raise ArrayFileError(f"{path}: truncated header")
     try:
         header = ast.literal_eval(data[10:header_end].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
+        # literal_eval raises TypeError for an unhashable key, and
+        # MemoryError or RecursionError for deeply nested input.
         raise ArrayFileError(f"{path}: malformed header dict") from exc
     if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
         raise ArrayFileError(f"{path}: malformed header dict")
@@ -87,13 +99,17 @@ def load_array(path) -> np.ndarray:
     if (
         not isinstance(shape, tuple)
         or len(shape) != 2
-        or not all(isinstance(n, int) and n >= 0 for n in shape)
+        or not all(type(n) is int and n >= 0 for n in shape)
     ):
-        raise ArrayFileError(f"{path}: shape {shape!r} is not 2D")
+        raise ArrayFileError(f"{path}: shape {shape!r} is not 2D (two non-negative integers)")
     expected = 8 * shape[0] * shape[1]
     payload = data[header_end:]
     if len(payload) != expected:
         raise ArrayFileError(
             f"{path}: payload is {len(payload)} bytes, expected {expected} for shape {shape}"
         )
-    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    try:
+        return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    except ValueError as exc:
+        # An empty payload passes the size check for any shape with a zero.
+        raise ArrayFileError(f"{path}: shape {shape!r} is too large") from exc

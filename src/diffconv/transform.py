@@ -12,26 +12,12 @@ are kept, as float64, per kernel size.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .stencils import (
-    half_width,
-    invert_center_matrix,
-    mat_to_floats,
-    shift_matrix,
-    stencil_matrix,
-)
-
-# Cache fills run under the lock (at-most-once on concurrent first access);
-# the lock may be held while calling into the stencils module, never the
-# other way around.
-_LOCK = threading.RLock()
-_SHIFT_FACTORS: dict[int, np.ndarray] = {}
-_FLOAT_CENTER: dict[int, np.ndarray] = {}
-_FLOAT_CENTER_INV: dict[int, np.ndarray] = {}
+from .stencils import half_width, mat_to_floats, shift_matrix, stencil_matrix
 
 
 def as_kernel(kernel) -> np.ndarray:
@@ -45,58 +31,14 @@ def as_kernel(kernel) -> np.ndarray:
     return arr
 
 
-def identity_kernel(k: int) -> np.ndarray:
-    m = half_width(k)
-    kernel = np.zeros((k, k), dtype=np.float64)
-    kernel[m, m] = 1.0
-    return kernel
-
-
+@cache
 def _shift_factors(k: int) -> np.ndarray:
     """The K shift matrices t_0..t_{K-1} as float64, shape (K, K, K). Their
     entries are integers, so the floats are exact."""
     half_width(k)
-    with _LOCK:
-        cached = _SHIFT_FACTORS.get(k)
-        if cached is None:
-            cached = np.stack([mat_to_floats(shift_matrix(k, r)) for r in range(k)])
-            cached.setflags(write=False)
-            _SHIFT_FACTORS[k] = cached
-        return cached
-
-
-def _float_center(k: int) -> np.ndarray:
-    m = half_width(k)
-    with _LOCK:
-        cached = _FLOAT_CENTER.get(k)
-        if cached is None:
-            cached = stencil_matrix(k, m, m).to_floats()
-            cached.setflags(write=False)
-            _FLOAT_CENTER[k] = cached
-        return cached
-
-
-def _float_center_inverse(k: int) -> np.ndarray:
-    half_width(k)
-    with _LOCK:
-        cached = _FLOAT_CENTER_INV.get(k)
-        if cached is None:
-            cached = mat_to_floats(invert_center_matrix(k))
-            cached.setflags(write=False)
-            _FLOAT_CENTER_INV[k] = cached
-        return cached
-
-
-def operator_coeffs(kernel) -> np.ndarray:
-    """Coefficients of the differential operator equivalent to ``kernel``.
-
-    Index order_y*K+order_x weights the (order_y, order_x) mixed derivative.
-    The linear system is solved with the exact center inverse, evaluated in
-    float64.
-    """
-    arr = as_kernel(kernel)
-    k = arr.shape[0]
-    return _float_center_inverse(k) @ arr.reshape(k * k)
+    factors = np.stack([mat_to_floats(shift_matrix(k, r)) for r in range(k)])
+    factors.setflags(write=False)
+    return factors
 
 
 def kernel_from_operator(coeffs) -> np.ndarray:
@@ -107,10 +49,10 @@ def kernel_from_operator(coeffs) -> np.ndarray:
     k = int(round(np.sqrt(alpha.size)))
     if k * k != alpha.size:
         raise ValueError(f"coefficient vector length {alpha.size} is not a square")
-    half_width(k)
+    m = half_width(k)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("coefficients must be finite")
-    return (_float_center(k) @ alpha).reshape(k, k)
+    return (mat_to_floats(stencil_matrix(k, m, m)) @ alpha).reshape(k, k)
 
 
 @dataclass(frozen=True)
@@ -144,24 +86,6 @@ class KernelBank:
             },
         }
         return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelBank":
-        payload = json.loads(text)
-        k = payload["size"]
-        half_width(k)
-        base = np.asarray(payload["base"], dtype=np.float64)
-        kernels = np.empty((k * k, k, k), dtype=np.float64)
-        for r in range(k):
-            for s in range(k):
-                entry = payload["kernels"].get(f"{r},{s}")
-                if entry is None:
-                    raise ValueError(f"bank JSON is missing position {r},{s}")
-                kernels[r * k + s] = np.asarray(entry, dtype=np.float64)
-        bank = cls(size=k, base=base, kernels=kernels)
-        bank.base.setflags(write=False)
-        bank.kernels.setflags(write=False)
-        return bank
 
 
 def build_bank(kernel) -> KernelBank:

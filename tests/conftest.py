@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import lcm
+
 import numpy as np
 import pytest
 
@@ -20,3 +23,30 @@ def brute_force_valid(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def loop_conv():
     return brute_force_valid
+
+
+def identity_kernel(k: int) -> np.ndarray:
+    """The K x K kernel with a single 1 at the center."""
+    kernel = np.zeros((k, k), dtype=np.float64)
+    kernel[k // 2, k // 2] = 1.0
+    return kernel
+
+
+def mat_identity(n: int):
+    return tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+    )
+
+
+def mat_mul(a, b):
+    """Exact reference product of two Fraction matrices. Scales both factors
+    to integer matrices first so the inner loops run on integers."""
+    da = lcm(*[v.denominator for row in a for v in row])
+    db = lcm(*[v.denominator for row in b for v in row])
+    ai = [[int(v * da) for v in row] for row in a]
+    bi = [[int(v * db) for v in row] for row in b]
+    bt = list(zip(*bi))
+    d = da * db
+    return tuple(
+        tuple(Fraction(sum(x * y for x, y in zip(row, col)), d) for col in bt) for row in ai
+    )

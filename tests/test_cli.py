@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from diffconv import npyio
 from diffconv.cli import main
 from diffconv.npyio import load_array, save_array
-from diffconv.transform import KernelBank
 
 
 @pytest.fixture
@@ -211,6 +211,26 @@ def test_filter_malformed_npy_is_runtime_error(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("header", [
+    "{'descr': '<f8', []: 1}",
+    "{'descr': '<f8', 'fortran_order': False, 'shape': (True, 2), }",
+])
+def test_filter_malformed_header_is_runtime_error(runner, tmp_path, header):
+    bad = tmp_path / "bad.npy"
+    raw = header.encode("latin1")
+    bad.write_bytes(b"\x93NUMPY\x01\x00" + len(raw).to_bytes(2, "little") + raw + b"\x00" * 16)
+    ker_path = tmp_path / "k.npy"
+    save_array(ker_path, np.ones((3, 3)))
+    result = runner.invoke(
+        main,
+        ["filter", "--input", str(bad), "--kernel", str(ker_path),
+         "--method", "zero", "--output", str(tmp_path / "o.npy")],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "bad.npy" in result.stderr
+
+
 def test_filter_overflow_is_runtime_error(runner, tmp_path):
     img_path, ker_path, out_path = tmp_path / "i.npy", tmp_path / "k.npy", tmp_path / "o.npy"
     image = np.full((12, 12), 1e301)
@@ -272,12 +292,53 @@ def test_compare_writes_file(runner, tmp_path):
     assert len(text.strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["kernels", "--size", "5"],
+    ["compare", "--orders", "1:1", "--height", "8", "--width", "8", "--filters", "1"],
+    ["dump-bank", "--kernel", "KERNEL"],
+])
+def test_text_output_is_written_atomically(runner, tmp_path, monkeypatch, args):
+    ker_path = tmp_path / "k.npy"
+    save_array(ker_path, np.ones((3, 3)))
+    args = [str(ker_path) if a == "KERNEL" else a for a in args]
+    path = tmp_path / "out.txt"
+    result = runner.invoke(main, args + ["--output", str(path)])
+    assert result.exit_code == 0
+    assert path.read_text() == runner.invoke(main, args).output
+    path.write_text("old content\n")
+
+    class WriteFails:
+        # Writes the start of the text, then fails.
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:10])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(npyio, "open", lambda *a, **kw: WriteFails(open(*a, **kw)),
+                        raising=False)
+    result = runner.invoke(main, args + ["--output", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, OSError)
+    assert path.read_text() == "old content\n"
+    assert sorted(tmp_path.iterdir()) == [ker_path, path]
+
+
 def test_dump_bank_round_trip(runner, tmp_path):
     ker_path = tmp_path / "k.npy"
     save_array(ker_path, np.ones((3, 3)))
     result = runner.invoke(main, ["dump-bank", "--kernel", str(ker_path)])
     assert result.exit_code == 0
-    bank = KernelBank.from_json(result.output)
-    assert np.array_equal(
-        bank.kernel_at(0, 0), np.array([[16.0, -8.0, 4.0], [-8.0, 4.0, -2.0], [4.0, -2.0, 1.0]])
-    )
+    payload = json.loads(result.output)
+    assert payload["size"] == 3
+    assert payload["base"] == np.ones((3, 3)).tolist()
+    assert sorted(payload["kernels"]) == [f"{r},{s}" for r in range(3) for s in range(3)]
+    assert payload["kernels"]["0,0"] == [[16.0, -8.0, 4.0], [-8.0, 4.0, -2.0], [4.0, -2.0, 1.0]]
+    assert payload["kernels"]["1,1"] == np.ones((3, 3)).tolist()

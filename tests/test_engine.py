@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import identity_kernel
 
 from diffconv.engine import conv2d_diff, conv2d_valid
 from diffconv.fields import FieldSpec, generate, oracle_convolution
-from diffconv.transform import build_bank, identity_kernel
+from diffconv.transform import build_bank
 
 EPS = np.finfo(float).eps
 

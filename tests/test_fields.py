@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import identity_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from diffconv.fields import (
     random_kernels,
     spherical_Y,
 )
-from diffconv.transform import identity_kernel
 
 
 def test_chebyshev_small_orders():

@@ -3,6 +3,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffconv import npyio
 from diffconv.npyio import ArrayFileError, load_array, save_array
@@ -140,3 +142,78 @@ def test_reader_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 4)
     with pytest.raises(ArrayFileError, match="payload"):
         load_array(path)
+
+
+def _npy_file(path, header: str, payload: bytes = b"") -> None:
+    raw = header.encode("latin1")
+    path.write_bytes(b"\x93NUMPY\x01\x00" + len(raw).to_bytes(2, "little") + raw + payload)
+
+
+def test_reader_rejects_unhashable_header_key(tmp_path):
+    path = tmp_path / "k.npy"
+    _npy_file(path, "{'descr': '<f8', []: 1}")
+    with pytest.raises(ArrayFileError, match="malformed header dict"):
+        load_array(path)
+
+
+def test_reader_rejects_bool_shape_entries(tmp_path):
+    # The payload has the size (True, 2) would need if True counted as 1.
+    path = tmp_path / "b.npy"
+    _npy_file(path, "{'descr': '<f8', 'fortran_order': False, 'shape': (True, 2), }",
+              b"\x00" * 16)
+    with pytest.raises(ArrayFileError, match="not 2D"):
+        load_array(path)
+
+
+def test_reader_rejects_empty_shape_beyond_numpy_limits(tmp_path):
+    path = tmp_path / "z.npy"
+    _npy_file(path, f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({2**70}, 0), }}")
+    with pytest.raises(ArrayFileError, match="too large"):
+        load_array(path)
+
+
+_LEAVES = (
+    st.sampled_from(["'descr'", "'fortran_order'", "'shape'", "'<f8'", "False", "True",
+                     "None", "0", "-1", "2", str(2**70), "1.5", "b'x'", "()", "[]", "{}"])
+    | st.text(max_size=6).map(repr)
+    | st.integers().map(str)
+)
+_EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "(" + ", ".join(xs) + ",)")
+    | st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+    | st.lists(st.tuples(inner, inner), max_size=3).map(
+        lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _bytes_after_magic_and_version(draw):
+    """Random bytes, or a length field, a header assembled from NPY-like
+    fragments (unhashable keys, bools, huge ints included) and a payload."""
+    kind = draw(st.sampled_from(["raw", "expression", "npy-keys"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=200))
+    if kind == "expression":
+        header = draw(_EXPRESSIONS)
+    else:
+        values = [draw(st.sampled_from(good) | _EXPRESSIONS)
+                  for good in (["'<f8'"], ["False"], ["(2, 3)", "(0, 4)"])]
+        header = "{'descr': %s, 'fortran_order': %s, 'shape': %s}" % tuple(values)
+    raw = header.encode("latin1", "replace")
+    length = max(0, len(raw) + draw(st.integers(-3, 3)))
+    payload = draw(st.sampled_from([b"", b"\x00" * 48]) | st.binary(max_size=48))
+    return length.to_bytes(2, "little") + raw + payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail=_bytes_after_magic_and_version())
+def test_reader_fuzz_loads_or_raises_array_file_error(tmp_path_factory, tail):
+    path = tmp_path_factory.getbasetemp() / "fuzz.npy"
+    path.write_bytes(b"\x93NUMPY\x01\x00" + tail)
+    try:
+        arr = load_array(path)
+    except ArrayFileError:
+        return
+    assert arr.dtype == np.float64 and arr.ndim == 2
