@@ -124,8 +124,9 @@ def conv2d_padded(field, kernel, scheme) -> np.ndarray:
 def partial_conv2d(field, kernel) -> np.ndarray:
     """Zero-padded convolution rescaled by K^2 / (in-image pixels per window).
 
-    Interior windows have a full pixel count, so interior output equals the
-    zero-padded convolution exactly.
+    Interior windows have a full pixel count, so their factor is exactly 1.0
+    and interior output equals the zero-padded convolution exactly; only the
+    m-wide frame is rescaled, in place.
     """
     arr = as_field(field)
     ker = as_kernel(kernel)
@@ -134,15 +135,24 @@ def partial_conv2d(field, kernel) -> np.ndarray:
     h, w = arr.shape
     if h < 1 or w < 1:
         raise ValueError("field must be non-empty")
-    padded = conv2d_valid(np.pad(arr, m, mode="constant"), ker)
-    return padded * _partial_scale(h, w, k)
+    out = conv2d_valid(np.pad(arr, m, mode="constant"), ker)
+    rows, cols = _window_counts(h, k), _window_counts(w, k)
+    # Rows [top, bottom) and columns [left, right) have full window counts.
+    top, left = min(m, h), min(m, w)
+    bottom, right = max(h - m, top), max(w - m, left)
+    for ys, xs in ((slice(0, top), slice(0, w)), (slice(bottom, h), slice(0, w)),
+                   (slice(top, bottom), slice(0, left)), (slice(top, bottom), slice(right, w))):
+        out[ys, xs] *= (k * k) / np.outer(rows[ys], cols[xs])
+    return out
+
+
+def _window_counts(n: int, k: int) -> np.ndarray:
+    """In-image pixels per K-wide window centred on each of n positions."""
+    m = half_width(k)
+    idx = np.arange(n)
+    return np.minimum(idx + m, n - 1) - np.maximum(idx - m, 0) + 1
 
 
 def _partial_scale(h: int, w: int, k: int) -> np.ndarray:
     """K^2 / (in-image pixels per window) for each pixel of an h x w output."""
-    m = half_width(k)
-    ys = np.arange(h)
-    xs = np.arange(w)
-    row_counts = np.minimum(ys + m, h - 1) - np.maximum(ys - m, 0) + 1
-    col_counts = np.minimum(xs + m, w - 1) - np.maximum(xs - m, 0) + 1
-    return (k * k) / np.outer(row_counts, col_counts)
+    return (k * k) / np.outer(_window_counts(h, k), _window_counts(w, k))

@@ -17,6 +17,7 @@ are bitwise reproducible and the interior agrees bitwise with
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -44,16 +45,32 @@ def _check_sizes(field: np.ndarray, k: int) -> None:
         )
 
 
+# Rows per tile are chosen so that one output tile, leading batch axes
+# included, is about this many bytes: the tile, its scratch product and the
+# input rows they read then stay in cache across the K^2 passes.
+_TILE_BYTES = 256 * 1024
+
+
 def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # Valid product-sum over the last two axes (leading axes are a batch),
     # accumulated in fixed (i, j) order, so the per-pixel arithmetic path is
-    # identical wherever the same window appears.
+    # identical wherever the same window appears. Row tiles change only which
+    # pixels are in flight at once, not any pixel's sequence of operations:
+    # each starts from 0.0 and adds the rounded products in (i, j) order.
     k = kernel.shape[0]
+    lead = field.shape[:-2]
     ny, nx = field.shape[-2] - k + 1, field.shape[-1] - k + 1
-    out = np.zeros(field.shape[:-2] + (ny, nx), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            out += kernel[i, j] * field[..., i:i + ny, j:j + nx]
+    out = np.zeros(lead + (ny, nx), dtype=np.float64)
+    rows = max(1, _TILE_BYTES // (8 * nx * math.prod(lead)))
+    scratch = np.empty(lead + (min(rows, ny), nx), dtype=np.float64)
+    for y0 in range(0, ny, rows):
+        y1 = min(y0 + rows, ny)
+        tile = out[..., y0:y1, :]
+        tmp = scratch[..., :y1 - y0, :]
+        for i in range(k):
+            for j in range(k):
+                np.multiply(field[..., y0 + i:y1 + i, j:j + nx], kernel[i, j], tmp)
+                tile += tmp
     return out
 
 
@@ -82,13 +99,17 @@ def _pad_extrapolate(field: np.ndarray, k: int, degree: int) -> np.ndarray:
     """Surround ``field`` with a half-width margin extrapolated by the
     degree-``degree`` polynomial through the nearest degree+1 pixels, rows
     first, then columns (so corners are the tensor-product extrapolation)."""
-    weights = _extrapolation_weights(degree, half_width(k))
-    left = (field[:, :degree + 1] @ weights)[:, ::-1]
-    right = field[:, ::-1][:, :degree + 1] @ weights
-    widened = np.hstack([left, field, right])
-    top = (weights.T @ widened[:degree + 1, :])[::-1, :]
-    bottom = weights.T @ widened[::-1, :][:degree + 1, :]
-    return np.vstack([top, widened, bottom])
+    m = half_width(k)
+    weights = _extrapolation_weights(degree, m)
+    h, w = field.shape
+    padded = np.empty((h + 2 * m, w + 2 * m), dtype=np.float64)
+    padded[m:m + h, m:m + w] = field
+    padded[m:m + h, :m] = (field[:, :degree + 1] @ weights)[:, ::-1]
+    padded[m:m + h, m + w:] = field[:, ::-1][:, :degree + 1] @ weights
+    padded[:m] = (weights.T @ padded[m:m + degree + 1])[::-1]
+    # The degree+1 rows nearest the bottom edge, bottom row first.
+    padded[m + h:] = weights.T @ padded[m + h - 1 - degree:m + h][::-1]
+    return padded
 
 
 def conv2d_diff(field, kernel, bank: KernelBank | None = None) -> np.ndarray:

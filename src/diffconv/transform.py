@@ -68,13 +68,6 @@ class KernelBank:
     base: np.ndarray
     kernels: np.ndarray
 
-    def kernel_at(self, r: int, s: int) -> np.ndarray:
-        if not (0 <= r < self.size and 0 <= s < self.size):
-            raise ValueError(
-                f"position must be in 0..{self.size - 1} per axis, got ({r}, {s})"
-            )
-        return self.kernels[r * self.size + s]
-
     def to_json(self) -> str:
         payload = {
             "size": self.size,

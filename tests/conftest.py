@@ -4,6 +4,9 @@ from math import lcm
 import numpy as np
 import pytest
 
+from diffconv.engine import _extrapolation_weights
+from diffconv.stencils import half_width
+
 
 def brute_force_valid(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Reference valid convolution: explicit quadruple loop, no flip."""
@@ -50,3 +53,27 @@ def mat_mul(a, b):
     return tuple(
         tuple(Fraction(sum(x * y for x, y in zip(row, col)), d) for col in bt) for row in ai
     )
+
+
+def reference_accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Reference for ``engine._accumulate``: the untiled valid product-sum,
+    one full-size product per (i, j), added in (i, j) order to a zero array."""
+    k = kernel.shape[0]
+    ny, nx = field.shape[-2] - k + 1, field.shape[-1] - k + 1
+    out = np.zeros(field.shape[:-2] + (ny, nx), dtype=np.float64)
+    for i in range(k):
+        for j in range(k):
+            out += kernel[i, j] * field[..., i:i + ny, j:j + nx]
+    return out
+
+
+def reference_pad_extrapolate(field: np.ndarray, k: int, degree: int) -> np.ndarray:
+    """Reference for ``engine._pad_extrapolate``: left and right margins
+    joined by ``hstack``, then top and bottom by ``vstack``."""
+    weights = _extrapolation_weights(degree, half_width(k))
+    left = (field[:, :degree + 1] @ weights)[:, ::-1]
+    right = field[:, ::-1][:, :degree + 1] @ weights
+    widened = np.hstack([left, field, right])
+    top = (weights.T @ widened[:degree + 1, :])[::-1, :]
+    bottom = weights.T @ widened[::-1, :][:degree + 1, :]
+    return np.vstack([top, widened, bottom])

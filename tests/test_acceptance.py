@@ -151,7 +151,7 @@ def test_criterion_3_kernel_sum_preservation():
             worst = max(worst, float(np.max(drift / bound)))
         fractions.append(f"K={k}: {worst:.3f}")
         ok = ok and worst <= 1.0
-    corner = (build_bank(np.ones((3, 3))).kernel_at(0, 0)).sum()
+    corner = (build_bank(np.ones((3, 3))).kernels[0]).sum()
     ok = ok and corner == 9.0
     _report(
         3,

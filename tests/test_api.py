@@ -1,6 +1,8 @@
 """Every public symbol has a caller outside the tests."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import diffconv
@@ -26,9 +28,31 @@ def _referenced_names(path: Path) -> set[str]:
     return names
 
 
-def test_every_exported_name_is_used_outside_the_tests():
+def _used_names() -> set[str]:
     files = _program_files()
     assert any(p.parent.name == "perfbench" for p in files)
-    used = set().union(*(_referenced_names(p) for p in files))
-    unused = sorted(set(diffconv.__all__) - used)
+    return set().union(*(_referenced_names(p) for p in files))
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    unused = sorted(set(diffconv.__all__) - _used_names())
     assert not unused, f"exported but never used outside the tests: {unused}"
+
+
+def _public_members(cls: type) -> set[str]:
+    # Methods, properties and class attributes defined on the class itself,
+    # plus its dataclass fields (which need not be class attributes).
+    members = {name for name in vars(cls) if not name.startswith("_")}
+    if dataclasses.is_dataclass(cls):
+        members |= {field.name for field in dataclasses.fields(cls)}
+    return members
+
+
+def test_every_public_member_of_an_exported_class_is_used_outside_the_tests():
+    used = _used_names()
+    classes = [obj for obj in map(diffconv.__dict__.get, diffconv.__all__) if inspect.isclass(obj)]
+    assert classes
+    unused = sorted(
+        f"{cls.__name__}.{name}" for cls in classes for name in _public_members(cls) - used
+    )
+    assert not unused, f"public but never used outside the tests: {unused}"

@@ -25,12 +25,12 @@ def nearest_window_loop(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             cy = min(max(y, m), h - 1 - m)
             cx = min(max(x, m), w - 1 - m)
             window = field[cy - m:cy + m + 1, cx - m:cx + m + 1]
-            out[y, x] = np.sum(bank.kernel_at(y - cy + m, x - cx + m) * window)
+            out[y, x] = np.sum(bank.kernels[(y - cy + m) * k + x - cx + m] * window)
     return out
 
 
 def window_value(bank, window: np.ndarray, r: int, s: int) -> float:
-    return float(np.sum(bank.kernel_at(r, s) * window))
+    return float(np.sum(bank.kernels[r * bank.size + s] * window))
 
 
 def test_valid_ones_counting():
