@@ -10,9 +10,6 @@ convolution, analytic test fields, and a benchmark harness.
 from .baselines import (
     SCHEME_TAGS,
     PaddingScheme,
-    band_thickness,
-    conv2d_padded,
-    extrapolation_degree,
     pad,
     partial_conv2d,
 )
@@ -65,16 +62,13 @@ __all__ = [
     "apply_method",
     "as_field",
     "as_kernel",
-    "band_thickness",
     "build_bank",
     "center_condition_number",
     "chebyshev_U",
     "conv2d_diff",
-    "conv2d_padded",
     "conv2d_valid",
     "derivative_stencil",
     "derive_seed",
-    "extrapolation_degree",
     "generate",
     "half_width",
     "invert_center_matrix",

@@ -1,10 +1,12 @@
 """Boundary-handling baselines: padding schemes and partial convolution.
 
-Six padding schemes fill a margin of half-width cells around the field before
-a valid convolution; partial convolution instead rescales a zero-padded result
-by the inverse fraction of in-image pixels per window. All of them agree
-bitwise with :func:`diffconv.engine.conv2d_valid` on interior pixels because
-they share its accumulation path.
+Every size-keeping method, ``diff`` included, fills a margin of half-width
+cells around the field and runs one valid accumulation over the result; the
+methods differ only in the margin (:func:`_margin`), and partial convolution
+then rescales its zero-padded frame by the inverse fraction of in-image
+pixels per window. All of them agree bitwise with
+:func:`diffconv.engine.conv2d_valid` on interior pixels because they share
+its accumulation path.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _pad_extrapolate, as_field, conv2d_valid
+from .engine import _accumulate, _check_finite, _pad_extrapolate, as_field
 from .stencils import half_width
 from .transform import as_kernel
 
 SCHEME_TAGS = ("zero", "reflect", "replicate", "circular", "extrapolate", "distribution")
-
-_NEEDS_FULL_WINDOW = ("reflect", "extrapolate", "distribution")
 
 
 @dataclass(frozen=True)
@@ -34,27 +34,10 @@ class PaddingScheme:
             raise ValueError(f"unknown padding scheme {self.tag!r}; expected one of {SCHEME_TAGS}")
 
 
-def _as_scheme(scheme) -> PaddingScheme:
-    if isinstance(scheme, PaddingScheme):
-        return scheme
-    return PaddingScheme(str(scheme))
-
-
-def extrapolation_degree(k: int) -> int:
-    """Polynomial degree used by extrapolation padding: 1, 2, 3, 4 for K = 3, 5, 7, 9."""
-    return half_width(k)
-
-
-def band_thickness(k: int) -> int:
-    """Edge-band thickness used by distribution padding: (K + 1) / 2."""
-    half_width(k)
-    return (k + 1) // 2
-
-
 def _distribution_stats(field: np.ndarray, k: int) -> tuple[tuple[float, float], ...]:
     """(mean, sample std with ddof=1) of the left, right, top and bottom edge
     bands of thickness (K + 1) / 2: the parameters of distribution padding."""
-    thickness = band_thickness(k)
+    thickness = half_width(k) + 1
     h, w = field.shape
     bands = (field[:, :thickness], field[:, w - thickness:],
              field[:thickness, :], field[h - thickness:, :])
@@ -75,10 +58,31 @@ def _draw_distribution(padded: np.ndarray, m: int, stats, seed: int) -> None:
     padded[m + h:] = mu_b + sd_b * rng.standard_normal((m, w))
 
 
-def _pad_distribution(field: np.ndarray, k: int, seed: int) -> np.ndarray:
+_NP_PAD_MODES = {"reflect": "reflect", "replicate": "edge", "circular": "wrap"}
+
+
+def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """The validated ``field`` surrounded by the half-width margin that
+    ``method`` (any of the eight, see ``benchmark.METHODS``) convolves.
+
+    This is the one place that maps a method name to its margin. ``diff``
+    and ``extrapolate`` extrapolate with degree K-1 and m; ``partial``
+    and ``zero`` use zeros; ``distribution`` draws per edge from ``seed``.
+    """
     m = half_width(k)
+    h, w = field.shape
+    # These read a K-wide band next to each edge; the others any pixel.
+    need = k if method in ("diff", "extrapolate", "reflect", "distribution") else 1
+    if h < need or w < need:
+        raise ValueError(f"{method} needs a field of at least {need}x{need}, "
+                         f"got shape {h}x{w}")
+    if method in ("diff", "extrapolate"):
+        return _pad_extrapolate(field, k, k - 1 if method == "diff" else m)
+    if method in _NP_PAD_MODES:
+        return np.pad(field, m, mode=_NP_PAD_MODES[method])
     padded = np.pad(field, m)
-    _draw_distribution(padded, m, _distribution_stats(field, k), seed)
+    if method == "distribution":
+        _draw_distribution(padded, m, _distribution_stats(field, k), seed)
     return padded
 
 
@@ -90,35 +94,25 @@ def pad(field, k: int, scheme) -> np.ndarray:
     the schemes that extend the field in passes, so corners come from the
     column pass.
     """
+    chosen = scheme if isinstance(scheme, PaddingScheme) else PaddingScheme(str(scheme))
+    return _margin(chosen.tag, as_field(field), k, chosen.seed)
+
+
+def _size_keeping(method: str, field, kernel, seed: int = 0) -> np.ndarray:
+    """The validated size-keeping path of any method in the margin table:
+    validate the field and kernel once, fill the margin, accumulate, rescale
+    ``partial``'s frame, then check the output is finite. (``apply_method``
+    sends ``diff`` to :func:`diffconv.engine.conv2d_diff`, which takes the
+    same steps.)"""
     arr = as_field(field)
-    m = half_width(k)
-    chosen = _as_scheme(scheme)
-    h, w = arr.shape
-    if chosen.tag in _NEEDS_FULL_WINDOW:
-        if h < k or w < k:
-            raise ValueError(
-                f"{chosen.tag} padding reads an interior band; field of shape "
-                f"{h}x{w} must be at least {k}x{k}"
-            )
-    elif h < 1 or w < 1:
-        raise ValueError("field must be non-empty")
-    if chosen.tag == "zero":
-        return np.pad(arr, m, mode="constant")
-    if chosen.tag == "reflect":
-        return np.pad(arr, m, mode="reflect")
-    if chosen.tag == "replicate":
-        return np.pad(arr, m, mode="edge")
-    if chosen.tag == "circular":
-        return np.pad(arr, m, mode="wrap")
-    if chosen.tag == "extrapolate":
-        return _pad_extrapolate(arr, k, extrapolation_degree(k))
-    return _pad_distribution(arr, k, chosen.seed)
-
-
-def conv2d_padded(field, kernel, scheme) -> np.ndarray:
-    """Size-keeping convolution by padding then valid convolution."""
     ker = as_kernel(kernel)
-    return conv2d_valid(pad(field, ker.shape[0], scheme), ker)
+    k = ker.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _accumulate(_margin(method, arr, k, seed), ker)
+        if method == "partial":
+            _rescale_frame(out, k)
+    _check_finite(out, method, k)
+    return out
 
 
 def partial_conv2d(field, kernel) -> np.ndarray:
@@ -128,14 +122,13 @@ def partial_conv2d(field, kernel) -> np.ndarray:
     and interior output equals the zero-padded convolution exactly; only the
     m-wide frame is rescaled, in place.
     """
-    arr = as_field(field)
-    ker = as_kernel(kernel)
-    k = ker.shape[0]
+    return _size_keeping("partial", field, kernel)
+
+
+def _rescale_frame(out: np.ndarray, k: int) -> None:
+    """Multiply the m-wide frame of ``out`` by :func:`_partial_scale` in place."""
     m = half_width(k)
-    h, w = arr.shape
-    if h < 1 or w < 1:
-        raise ValueError("field must be non-empty")
-    out = conv2d_valid(np.pad(arr, m, mode="constant"), ker)
+    h, w = out.shape
     rows, cols = _window_counts(h, k), _window_counts(w, k)
     # Rows [top, bottom) and columns [left, right) have full window counts.
     top, left = min(m, h), min(m, w)
@@ -143,7 +136,6 @@ def partial_conv2d(field, kernel) -> np.ndarray:
     for ys, xs in ((slice(0, top), slice(0, w)), (slice(bottom, h), slice(0, w)),
                    (slice(top, bottom), slice(0, left)), (slice(top, bottom), slice(right, w))):
         out[ys, xs] *= (k * k) / np.outer(rows[ys], cols[xs])
-    return out
 
 
 def _window_counts(n: int, k: int) -> np.ndarray:

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import (
-    PaddingScheme,
     _distribution_stats,
     _draw_distribution,
+    _margin,
     _partial_scale,
-    conv2d_padded,
-    pad,
-    partial_conv2d,
+    _size_keeping,
 )
-from .engine import _accumulate, _check_diff_finite, _pad_extrapolate, as_field, conv2d_diff
+from .engine import _accumulate, _check_finite, as_field, conv2d_diff
 from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
 from .stencils import half_width
 
@@ -84,10 +82,8 @@ def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.nda
     """
     if method == "diff":
         return conv2d_diff(field, kernel, bank=bank)
-    if method == "partial":
-        return partial_conv2d(field, kernel)
     if method in METHODS:
-        return conv2d_padded(field, kernel, PaddingScheme(method, seed))
+        return _size_keeping(method, field, kernel, seed)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -102,16 +98,6 @@ def _flat(tb: np.ndarray, lr: np.ndarray) -> np.ndarray:
     one vector per leading index: top, bottom, left, right."""
     lead = tb.shape[:-3]
     return np.concatenate([tb.reshape(lead + (-1,)), lr.reshape(lead + (-1,))], axis=-1)
-
-
-def _padded(method: str, core: np.ndarray, k: int) -> np.ndarray:
-    """The field a method convolves; distribution's margin is drawn per kernel."""
-    if method == "diff":
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _pad_extrapolate(core, k, k - 1)
-    if method in ("partial", "distribution"):
-        return pad(core, k, "zero")
-    return pad(core, k, method)
 
 
 def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
@@ -143,22 +129,24 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
         fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
         core = fld.core
         in_tb[0], in_lr[0] = _bands(as_field(fld.data), 3 * m)
-        for method, s in slot.items():
-            padded = _padded(method, core, k)
-            in_tb[s], in_lr[s] = _bands(padded, 3 * m)
-            if method == "distribution":
-                dist, dist_stats = padded, _distribution_stats(core, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for method, s in slot.items():
+                padded = _margin(method, core, k)
+                in_tb[s], in_lr[s] = _bands(padded, 3 * m)
+                if method == "distribution":  # redrawn per kernel below
+                    dist, dist_stats = padded, _distribution_stats(core, k)
         eps = []
         for j, ker in enumerate(kernels):
-            if "distribution" in slot:
-                _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
-                in_tb[slot["distribution"]], in_lr[slot["distribution"]] = _bands(dist, 3 * m)
             with np.errstate(over="ignore", invalid="ignore"):
+                if "distribution" in slot:
+                    _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
+                    in_tb[slot["distribution"]], in_lr[slot["distribution"]] = _bands(dist, 3 * m)
                 out = _flat(_accumulate(in_tb, ker), _accumulate(in_lr, ker))
-            if "diff" in slot:
-                _check_diff_finite(out[slot["diff"]], k)
-            if "partial" in slot:
-                out[slot["partial"]] *= scale
+                if "partial" in slot:
+                    out[slot["partial"]] *= scale
+            if not np.isfinite(out).all():
+                for method, s in [*slot.items(), ("oracle", 0)]:
+                    _check_finite(out[s], method, k)
             d = out[1:] - out[0]
             cell = []
             for err in (np.abs(d), d * d):

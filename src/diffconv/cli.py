@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -59,11 +60,22 @@ def _checked_size(size: int) -> tuple[int, int]:
         raise _usage(str(exc))
 
 
+@contextmanager
+def _writing(path: str):
+    """Report a failed write of ``path`` as a one-line runtime error.
+    :func:`diffconv.npyio.write_atomic` has removed its temporary file."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=False)
     else:
-        write_atomic(output, [text.encode("utf-8")])
+        with _writing(output):
+            write_atomic(output, [text.encode("utf-8")])
 
 
 @main.command()
@@ -128,7 +140,8 @@ def make_kernel(size, op_text, output):
     alpha = np.zeros(size * size, dtype=np.float64)
     for (oy, ox), value in entries.items():
         alpha[oy * size + ox] = value
-    save_array(output, kernel_from_operator(alpha))
+    with _writing(output):
+        save_array(output, kernel_from_operator(alpha))
 
 
 @main.command()
@@ -161,7 +174,8 @@ def gen(family, order, coeffs, height, width, margin, output):
         )
     except ValueError as exc:
         raise _usage(str(exc))
-    save_array(output, generate(spec).data)
+    with _writing(output):
+        save_array(output, generate(spec).data)
 
 
 @main.command("filter")
@@ -195,7 +209,8 @@ def filter_cmd(input_path, kernel_path, method, seed, output):
         result = apply_method(method, image, kernel, bank=None, seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    save_array(output, result)
+    with _writing(output):
+        save_array(output, result)
 
 
 def _parse_orders(text: str) -> tuple[int, ...]:

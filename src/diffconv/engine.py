@@ -133,17 +133,20 @@ def conv2d_diff(field, kernel, bank: KernelBank | None = None) -> np.ndarray:
         raise ValueError(f"bank is for size {bank.size}, kernel has size {k}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _accumulate(_pad_extrapolate(arr, k, k - 1), ker)
-    _check_diff_finite(out, k)
+    _check_finite(out, "diff", k)
     return out
 
 
-def _check_diff_finite(out: np.ndarray, k: int) -> None:
-    """Raise ``ValueError`` naming K and the corner gain unless every entry of
-    ``diff`` output ``out`` is finite."""
-    if not np.all(np.isfinite(out)):
-        gain = float(np.max(np.abs(_extrapolation_weights(k - 1, half_width(k))))) ** 2
-        raise ValueError(
-            f"conv2d_diff output is not finite for K={k}: boundary extrapolation "
-            f"scales field values by up to the corner gain ||t||_inf^2 = {gain:.4g}; "
-            f"rescale the field"
-        )
+def _check_finite(out: np.ndarray, method: str, k: int) -> None:
+    """Raise ``ValueError`` naming ``method`` and K unless every entry of its
+    output ``out`` is finite; for the extrapolating methods, name the corner
+    gain too."""
+    if np.all(np.isfinite(out)):
+        return
+    cause = "rescale the field"
+    if method in ("diff", "extrapolate"):
+        degree = k - 1 if method == "diff" else half_width(k)
+        gain = float(np.max(np.abs(_extrapolation_weights(degree, half_width(k))))) ** 2
+        cause = (f"boundary extrapolation scales field values by up to the corner gain "
+                 f"||t||_inf^2 = {gain:.4g}; {cause}")
+    raise ValueError(f"{method} output is not finite for K={k}: {cause}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import as_field, conv2d_valid
+from .engine import conv2d_valid
 from .stencils import half_width
 from .transform import as_kernel
 
@@ -224,6 +224,6 @@ def oracle_convolution(field: Field, kernel) -> np.ndarray:
             f"oracle needs margin >= {m_half} for a {ker.shape[0]}x{ker.shape[0]} kernel, "
             f"got margin {field.margin}"
         )
-    full = conv2d_valid(as_field(field.data), ker)
+    full = conv2d_valid(field.data, ker)
     off = field.margin - m_half
     return full[off:off + field.height, off:off + field.width]

@@ -10,8 +10,8 @@ from click.testing import CliRunner
 from conftest import identity_kernel, mat_identity, mat_mul
 from numpy.polynomial import Chebyshev
 
-from diffconv.baselines import PaddingScheme, conv2d_padded, partial_conv2d
-from diffconv.benchmark import METHODS, BenchmarkConfig, run_benchmark
+from diffconv.baselines import partial_conv2d
+from diffconv.benchmark import METHODS, BenchmarkConfig, apply_method, run_benchmark
 from diffconv.cli import main as cli_main
 from diffconv.engine import conv2d_diff, conv2d_valid
 from diffconv.fields import (
@@ -218,7 +218,7 @@ def test_criterion_6_interior_agreement():
             elif method == "partial":
                 out = partial_conv2d(field, kernel)
             else:
-                out = conv2d_padded(field, kernel, PaddingScheme(method, seed=trial))
+                out = apply_method(method, field, kernel, seed=trial)
             if not np.array_equal(out[m:h - m, m:w - m], valid):
                 ok = False
     _report(6, ok, "all methods bitwise equal to valid convolution on interior pixels")
@@ -309,7 +309,7 @@ def test_criterion_8_laplace_boundary_artefacts(tmp_path):
         mask = np.ones_like(truth, dtype=bool)
         mask[1:-1, 1:-1] = False
         diff_err = np.abs(conv2d_diff(fld.core, LAPLACE_3) - truth)
-        zero_err = np.abs(conv2d_padded(fld.core, LAPLACE_3, "zero") - truth)
+        zero_err = np.abs(apply_method("zero", fld.core, LAPLACE_3) - truth)
         interior = float(np.max(zero_err[~mask]))
         return float(np.max(diff_err[mask])), float(np.max(zero_err[mask])), interior
 
@@ -343,7 +343,7 @@ def test_laplace_boundary_spike_comparison():
     mask = np.ones_like(truth, dtype=bool)
     mask[1:-1, 1:-1] = False
     diff_err = np.abs(conv2d_diff(fld.core, LAPLACE_3) - truth)
-    zero_err = np.abs(conv2d_padded(fld.core, LAPLACE_3, "zero") - truth)
+    zero_err = np.abs(apply_method("zero", fld.core, LAPLACE_3) - truth)
     assert float(np.max(diff_err[~mask])) == 0.0
     assert float(np.max(zero_err[~mask])) == 0.0
     diff_frame = float(np.max(diff_err[mask]))

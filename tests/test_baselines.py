@@ -1,28 +1,17 @@
 import numpy as np
 import pytest
 
-from diffconv.baselines import (
-    SCHEME_TAGS,
-    PaddingScheme,
-    band_thickness,
-    conv2d_padded,
-    extrapolation_degree,
-    pad,
-    partial_conv2d,
-)
+from diffconv.baselines import SCHEME_TAGS, PaddingScheme, pad, partial_conv2d
+from diffconv.benchmark import apply_method
 from diffconv.engine import conv2d_diff, conv2d_valid
 from diffconv.fields import FieldSpec, generate
+from diffconv.stencils import half_width
 
 
 def test_scheme_validation():
     with pytest.raises(ValueError):
         PaddingScheme("mirror")
     assert PaddingScheme("zero").seed == 0
-
-
-def test_degree_and_thickness_mappings():
-    assert [extrapolation_degree(k) for k in (3, 5, 7, 9)] == [1, 2, 3, 4]
-    assert [band_thickness(k) for k in (3, 5, 7, 9)] == [2, 3, 4, 5]
 
 
 def test_extrapolate_linear_row():
@@ -71,7 +60,7 @@ def test_pad_preconditions():
 
 
 def test_padded_conv_zero_box_blur_counts():
-    out = conv2d_padded(np.ones((4, 4)), np.ones((3, 3)), "zero")
+    out = apply_method("zero", np.ones((4, 4)), np.ones((3, 3)))
     expected = np.array([
         [4.0, 6.0, 6.0, 4.0],
         [6.0, 9.0, 9.0, 6.0],
@@ -86,7 +75,7 @@ def test_padded_interior_bitwise_matches_valid(tag):
     rng = np.random.default_rng(17)
     field = rng.uniform(-1.0, 1.0, size=(9, 8))
     kernel = rng.uniform(-1.0, 1.0, size=(3, 3))
-    out = conv2d_padded(field, kernel, PaddingScheme(tag, seed=3))
+    out = apply_method(tag, field, kernel, seed=3)
     assert out.shape == field.shape
     assert np.array_equal(out[1:-1, 1:-1], conv2d_valid(field, kernel))
 
@@ -95,7 +84,7 @@ def test_padded_differs_from_diff_only_on_boundary_band():
     rng = np.random.default_rng(18)
     field = rng.uniform(-1.0, 1.0, size=(10, 10))
     kernel = rng.uniform(-1.0, 1.0, size=(3, 3))
-    zero_out = conv2d_padded(field, kernel, "zero")
+    zero_out = apply_method("zero", field, kernel)
     diff_out = conv2d_diff(field, kernel)
     assert np.array_equal(zero_out[1:-1, 1:-1], diff_out[1:-1, 1:-1])
     assert not np.array_equal(zero_out[0], diff_out[0])
@@ -104,7 +93,7 @@ def test_padded_differs_from_diff_only_on_boundary_band():
 def test_circular_constant_field():
     kernel = np.random.default_rng(19).uniform(-1.0, 1.0, size=(3, 3))
     c = 2.5
-    out = conv2d_padded(np.full((5, 6), c), kernel, "circular")
+    out = apply_method("circular", np.full((5, 6), c), kernel)
     assert np.max(np.abs(out - c * kernel.sum())) <= 1e-12
 
 
@@ -112,8 +101,7 @@ def test_circular_constant_field():
 def test_extrapolation_exact_for_low_degree_polynomials(k):
     # degree-d per-axis polynomial: padding must reproduce the analytic
     # extension sampled by the field generator
-    d = extrapolation_degree(k)
-    m = (k - 1) // 2
+    d = m = half_width(k)
     rng = np.random.default_rng(23 + k)
     coeffs = rng.uniform(-1.0, 1.0, size=(d + 1, d + 1))
     fld = generate(FieldSpec(family="polynomial", height=12, width=11, coeffs=coeffs, margin=m))
@@ -132,11 +120,12 @@ def test_distribution_reproducible_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
-def test_distribution_stream_is_pcg64_in_fixed_order():
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_distribution_stream_is_pcg64_in_fixed_order(k):
     # pin the documented generator: PCG64(seed), standard_normal draws in the
-    # order left, right, top, bottom
-    field = np.random.default_rng(31).uniform(0.0, 1.0, size=(6, 7))
-    k, m, t = 3, 1, 2
+    # order left, right, top, bottom, from edge bands (K + 1) / 2 thick
+    field = np.random.default_rng(31).uniform(0.0, 1.0, size=(k + 3, k + 4))
+    m, t = (k - 1) // 2, (k + 1) // 2
     h, w = field.shape
     got = pad(field, k, PaddingScheme("distribution", seed=9))
     rng = np.random.default_rng(9)
@@ -179,7 +168,7 @@ def test_partial_interior_equals_zero_padded_exactly():
     field = rng.uniform(-1.0, 1.0, size=(9, 9))
     kernel = rng.uniform(-1.0, 1.0, size=(3, 3))
     part = partial_conv2d(field, kernel)
-    zero = conv2d_padded(field, kernel, "zero")
+    zero = apply_method("zero", field, kernel)
     assert np.array_equal(part[1:-1, 1:-1], zero[1:-1, 1:-1])
 
 
@@ -206,3 +195,14 @@ def test_partial_rescales_by_window_counts(loop_conv):
                         count += 1
             expected[y, x] = ref_zero[y, x] * 9.0 / count
     assert np.max(np.abs(partial_conv2d(field, kernel) - expected)) <= 1e-12
+
+
+def test_partial_reports_overflow_of_its_frame_rescale():
+    # The zero-padded convolution is finite; the corner factor K^2 / (m + 1)^2
+    # = 9 / 4 lifts it past the float64 range.
+    kernel = np.zeros((3, 3))
+    kernel[1, 1] = 1.0
+    field = np.full((6, 6), 1e308)
+    assert np.isfinite(apply_method("zero", field, kernel)).all()
+    with pytest.raises(ValueError, match="partial output is not finite for K=3"):
+        partial_conv2d(field, kernel)

@@ -1,14 +1,25 @@
 import dataclasses
 
-from diffconv import benchmark
+import numpy as np
+import pytest
+
+from diffconv import baselines, benchmark, engine, fields
 from diffconv.benchmark import (
+    METHODS,
     BenchmarkConfig,
     apply_method,
     derive_seed,
     rows_to_csv,
     run_benchmark,
 )
-from diffconv.fields import FieldSpec, RandomKernelSpec, generate, oracle_convolution, random_kernels
+from diffconv.fields import (
+    Field,
+    FieldSpec,
+    RandomKernelSpec,
+    generate,
+    oracle_convolution,
+    random_kernels,
+)
 from diffconv.metrics import l1_error, mse
 from diffconv.stencils import half_width
 
@@ -72,3 +83,70 @@ def test_rows_equal_full_per_cell_definition():
         rows = run_benchmark(config)
         assert rows == expected, config
         assert rows_to_csv(rows) == rows_to_csv(expected), config
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("k", [3, 5])
+def test_every_method_reports_overflow(method, k):
+    # Finite input whose output overflows float64.
+    with pytest.raises(ValueError, match=rf"^{method} output is not finite for K={k}:"):
+        apply_method(method, np.full((12, 12), 1e308), np.ones((k, k)), seed=1)
+
+
+def huge_fields(core_value, margin_value):
+    """A stand-in for ``generate``: ``core_value`` inside, ``margin_value`` in
+    the analytic margin only the oracle reads."""
+    def fake(spec):
+        m = spec.margin
+        data = np.full((spec.height + 2 * m, spec.width + 2 * m), margin_value)
+        data[m:m + spec.height, m:m + spec.width] = core_value
+        return Field(data=data, margin=m)
+    return fake
+
+
+def ones_kernels(spec):
+    return [np.ones((spec.size, spec.size))] * spec.count
+
+
+@pytest.mark.parametrize("method", [*METHODS, "oracle"])
+def test_run_benchmark_reports_any_slots_overflow(monkeypatch, method):
+    # Every entry is finite and near the float maximum; the oracle's case has
+    # a zero core, so only the analytic margin overflows.
+    big = np.finfo(np.float64).max / 2
+    core = 0.0 if method == "oracle" else big
+    monkeypatch.setattr(benchmark, "generate", huge_fields(core, big))
+    monkeypatch.setattr(benchmark, "random_kernels", ones_kernels)
+    methods = ("zero",) if method == "oracle" else (method,)
+    config = BenchmarkConfig(family="chebyshev", orders=(1,), height=12, width=12,
+                             size=3, filter_count=2, seed=0, methods=methods)
+    with pytest.raises(ValueError, match=rf"^{method} output is not finite for K=3:"):
+        run_benchmark(config)
+
+
+def test_run_benchmark_checks_slots_only_when_a_cell_is_not_finite(monkeypatch):
+    calls = []
+    monkeypatch.setattr(benchmark, "_check_finite", lambda *args: calls.append(args))
+    run_benchmark(BenchmarkConfig(family="chebyshev", orders=(1, 2), height=12, width=12,
+                                  size=3, filter_count=3, seed=5))
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", [*METHODS, "oracle"])
+def test_each_call_validates_its_field_once(monkeypatch, method):
+    scanned = []
+
+    def counting(field):
+        scanned.append(np.shape(field))
+        return as_field(field)
+
+    as_field = engine.as_field
+    for module in (engine, baselines, fields):
+        monkeypatch.setattr(module, "as_field", counting, raising=False)
+    fld = generate(FieldSpec(family="chebyshev", height=9, width=11, order=3, margin=1))
+    kernel = random_kernels(RandomKernelSpec(size=3, count=1, seed=2))[0]
+    if method == "oracle":
+        oracle_convolution(fld, kernel)
+        assert scanned == [(11, 13)]
+    else:
+        apply_method(method, fld.core, kernel, seed=4)
+        assert scanned == [(9, 11)]

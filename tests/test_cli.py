@@ -249,6 +249,41 @@ def test_filter_overflow_is_runtime_error(runner, tmp_path):
     assert not out_path.exists()
 
 
+def test_filter_zero_overflow_is_runtime_error(runner, tmp_path):
+    img_path, ker_path, out_path = tmp_path / "i.npy", tmp_path / "k.npy", tmp_path / "o.npy"
+    save_array(img_path, np.full((12, 12), 1e308))
+    save_array(ker_path, np.ones((3, 3)))
+    result = runner.invoke(
+        main,
+        ["filter", "--input", str(img_path), "--kernel", str(ker_path),
+         "--method", "zero", "--output", str(out_path)],
+    )
+    assert result.exit_code == 1
+    assert "zero output is not finite for K=3" in result.stderr
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["filter", "--input", "IMAGE", "--kernel", "KERNEL", "--method", "zero"],
+    ["gen", "--family", "chebyshev", "--height", "4", "--width", "4"],
+    ["make-kernel", "--size", "3", "--op", "00:1"],
+    ["compare", "--orders", "1:1", "--height", "8", "--width", "8", "--filters", "1"],
+    ["kernels", "--size", "3"],
+    ["dump-bank", "--kernel", "KERNEL"],
+], ids=lambda args: args[0])
+def test_write_into_missing_directory_is_one_line_error(runner, tmp_path, args):
+    image, kernel = tmp_path / "i.npy", tmp_path / "k.npy"
+    save_array(image, np.ones((5, 5)))
+    save_array(kernel, np.ones((3, 3)))
+    args = [{"IMAGE": str(image), "KERNEL": str(kernel)}.get(a, a) for a in args]
+    out = tmp_path / "missing" / "out.dat"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: cannot write {out}: No such file or directory\n"
+    assert sorted(tmp_path.iterdir()) == [image, kernel]
+
+
 def test_compare_row_count_and_determinism(runner, tmp_path):
     args = ["compare", "--family", "chebyshev", "--orders", "1:3", "--height", "16",
             "--width", "16", "--size", "3", "--filters", "2", "--seed", "9"]
@@ -326,7 +361,8 @@ def test_text_output_is_written_atomically(runner, tmp_path, monkeypatch, args):
                         raising=False)
     result = runner.invoke(main, args + ["--output", str(path)])
     assert result.exit_code == 1
-    assert isinstance(result.exception, OSError)
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: cannot write {path}: no space left on device\n"
     assert path.read_text() == "old content\n"
     assert sorted(tmp_path.iterdir()) == [ker_path, path]
 
