@@ -93,9 +93,16 @@ def pad(field, k: int, scheme) -> np.ndarray:
     Row (left/right) margins are filled before column (top/bottom) margins for
     the schemes that extend the field in passes, so corners come from the
     column pass.
+
+    Raises ``ValueError`` naming the scheme and K when the margin is not
+    finite: extrapolation and the distribution's edge statistics can
+    overflow on a finite field.
     """
     chosen = scheme if isinstance(scheme, PaddingScheme) else PaddingScheme(str(scheme))
-    return _margin(chosen.tag, as_field(field), k, chosen.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        padded = _margin(chosen.tag, as_field(field), k, chosen.seed)
+    _check_finite(padded, chosen.tag, k)
+    return padded
 
 
 def _size_keeping(method: str, field, kernel, seed: int = 0) -> np.ndarray:

@@ -109,10 +109,12 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     oracle run the same valid convolution over the field's own pixels, so
     the error there is exactly 0. On it, each output is the valid
     convolution of the 3m-wide edge bands of the padded field, the same
-    arithmetic per pixel as the full convolution. The error maps are the
-    frame written into zeros, so eps1 and eps2 are bitwise ``l1_error`` and
-    ``mse`` of each method's ``apply_method`` output against
-    ``oracle_convolution``.
+    arithmetic per pixel as the full convolution. ``l1_error`` and ``mse``
+    sum the errors left to right in row-major order, where a zero adds
+    nothing; eps1 and eps2 are the running sums over the frame pixels alone,
+    each once and in row-major order, divided by H*W, so they are bitwise
+    ``l1_error`` and ``mse`` of each method's ``apply_method`` output
+    against ``oracle_convolution``.
     """
     k, h, w = config.size, config.height, config.width
     m = half_width(k)
@@ -120,10 +122,12 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     slot = {method: s for s, method in enumerate(dict.fromkeys(config.methods), start=1)}
     kernels = random_kernels(RandomKernelSpec(size=k, count=config.filter_count, seed=config.seed))
     scale = _flat(*_bands(_partial_scale(h, w, k), m))
-    frame = _flat(*_bands(np.arange(h * w).reshape(h, w), m))  # flat index of each frame entry
-    error_map = np.zeros((h, w))
+    # Where in a frame vector each frame pixel first appears, in row-major
+    # order of the pixels (the bands overlap at the corners).
+    _, frame = np.unique(_flat(*_bands(np.arange(h * w).reshape(h, w), m)), return_index=True)
     in_tb = np.empty((len(slot) + 1, 2, 3 * m, w + 2 * m))
-    in_lr = np.empty((len(slot) + 1, 2, h + 2 * m, 3 * m))
+    # Column-major, so that the accumulation runs along the H + 2m axis.
+    in_lr = np.empty((len(slot) + 1, 2, 3 * m, h + 2 * m)).swapaxes(-1, -2)
     rows: list[tuple] = []
     for order in config.orders:
         fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
@@ -147,13 +151,11 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
             if not np.isfinite(out).all():
                 for method, s in [*slot.items(), ("oracle", 0)]:
                     _check_finite(out[s], method, k)
+            out = out[:, frame]
             d = out[1:] - out[0]
-            cell = []
-            for err in (np.abs(d), d * d):
-                for slot_err in err:
-                    error_map.reshape(-1)[frame] = slot_err
-                    cell.append(float(np.mean(error_map)))
-            eps.append(cell)
+            eps.append([float(v) / (h * w)
+                        for err in (np.abs(d), d * d)
+                        for v in np.add.accumulate(err, axis=-1)[:, -1]])
         n = len(slot)
         for method in config.methods:
             s = slot[method] - 1

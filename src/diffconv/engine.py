@@ -57,30 +57,43 @@ def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # identical wherever the same window appears. Row tiles change only which
     # pixels are in flight at once, not any pixel's sequence of operations:
     # each starts from 0.0 and adds the rounded products in (i, j) order.
+    # When the last two axes are stored column-major, the work runs on their
+    # transposed view, so every pass reads and writes along the contiguous
+    # axis, and the output is returned with the input's layout.
     k = kernel.shape[0]
-    lead = field.shape[:-2]
-    ny, nx = field.shape[-2] - k + 1, field.shape[-1] - k + 1
+    flip = abs(field.strides[-1]) > abs(field.strides[-2])
+    src = field.swapaxes(-1, -2) if flip else field
+    lead = src.shape[:-2]
+    ny, nx = src.shape[-2] - k + 1, src.shape[-1] - k + 1
     out = np.zeros(lead + (ny, nx), dtype=np.float64)
     rows = max(1, _TILE_BYTES // (8 * nx * math.prod(lead)))
     scratch = np.empty(lead + (min(rows, ny), nx), dtype=np.float64)
+    # Per tap in (i, j) order: its row and column offset in ``src``, and its weight.
+    taps = [((j, i) if flip else (i, j), kernel[i, j]) for i in range(k) for j in range(k)]
     for y0 in range(0, ny, rows):
         y1 = min(y0 + rows, ny)
         tile = out[..., y0:y1, :]
         tmp = scratch[..., :y1 - y0, :]
-        for i in range(k):
-            for j in range(k):
-                np.multiply(field[..., y0 + i:y1 + i, j:j + nx], kernel[i, j], tmp)
-                tile += tmp
-    return out
+        for (a, b), weight in taps:
+            np.multiply(src[..., y0 + a:y1 + a, b:b + nx], weight, tmp)
+            tile += tmp
+    return out.swapaxes(-1, -2) if flip else out
 
 
 def conv2d_valid(field, kernel) -> np.ndarray:
-    """Valid cross-correlation: output shape (H-K+1, W-K+1)."""
+    """Valid cross-correlation: output shape (H-K+1, W-K+1).
+
+    Raises ``ValueError`` naming the operation and K when the output is not
+    finite (a finite field can overflow).
+    """
     arr = as_field(field)
     ker = as_kernel(kernel)
     k = ker.shape[0]
     _check_sizes(arr, k)
-    return _accumulate(arr, ker)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _accumulate(arr, ker)
+    _check_finite(out, "conv2d_valid", k)
+    return out
 
 
 @cache

@@ -59,6 +59,14 @@ def test_pad_preconditions():
         assert pad(small, 3, tag).shape == (4, 4)
 
 
+@pytest.mark.parametrize("tag", ["extrapolate", "distribution"])
+def test_pad_overflow_is_an_error_naming_the_scheme(tag):
+    # A finite field whose extrapolated margin, or whose edge-band mean,
+    # overflows float64.
+    with pytest.raises(ValueError, match=rf"^{tag} output is not finite for K=9:"):
+        pad(np.full((12, 12), 1e308), 9, tag)
+
+
 def test_padded_conv_zero_box_blur_counts():
     out = apply_method("zero", np.ones((4, 4)), np.ones((3, 3)))
     expected = np.array([

@@ -61,6 +61,12 @@ def test_valid_rejects_undersized_field():
         conv2d_valid(np.ones((2, 5)), np.ones((3, 3)))
 
 
+def test_valid_overflow_is_an_error_naming_the_operation():
+    # Finite input whose products sum past the float64 range.
+    with pytest.raises(ValueError, match=r"^conv2d_valid output is not finite for K=3:"):
+        conv2d_valid(np.full((12, 12), 1e308), np.ones((3, 3)))
+
+
 # The nearest-complete-window rule at hand-picked pixels: which window serves
 # a pixel, and at which in-window position.
 def test_window_assignment_corner():

@@ -169,3 +169,9 @@ def test_oracle_requires_margin():
     fld = Field(data=np.zeros((8, 8)), margin=1)
     with pytest.raises(ValueError):
         oracle_convolution(fld, np.ones((5, 5)))
+
+
+def test_oracle_overflow_is_an_error():
+    fld = Field(data=np.full((14, 14), 1e308), margin=1)
+    with pytest.raises(ValueError, match=r"^conv2d_valid output is not finite for K=3:"):
+        oracle_convolution(fld, np.ones((3, 3)))

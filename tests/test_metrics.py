@@ -26,6 +26,32 @@ def test_metrics_match_loop_reference():
     assert abs(mse(a, b) - ref_mse) <= 1e-13
 
 
+def test_metrics_are_the_row_major_running_sum():
+    # The definition: a left-to-right sum over row-major pixels, divided by
+    # the pixel count; equal bitwise, not to a tolerance.
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-3.0, 3.0, size=(9, 11)) * 10.0 ** rng.integers(-8, 8, size=(9, 11))
+    b = rng.uniform(-3.0, 3.0, size=(9, 11))
+    l1 = sq = 0.0
+    for y in range(9):
+        for x in range(11):
+            d = float(a[y, x]) - float(b[y, x])
+            l1 += abs(d)
+            sq += d * d
+    assert l1_error(a, b) == l1 / 99
+    assert mse(a, b) == sq / 99
+    # Any input layout is summed in the same row-major pixel order.
+    assert l1_error(np.asfortranarray(a), b) == l1 / 99
+    assert mse(a, np.asfortranarray(b)) == sq / 99
+
+
+@pytest.mark.parametrize("metric", [l1_error, mse])
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
+def test_empty_inputs_raise(metric, shape):
+    with pytest.raises(ValueError, match=r"at least one pixel"):
+        metric(np.zeros(shape), np.zeros(shape))
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         l1_error(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -86,6 +86,29 @@ def test_band_stacks_match_untiled_reference(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_column_major_band_stacks_match_untiled_reference(monkeypatch, k):
+    # run_benchmark stores its left and right bands column-major: a
+    # (..., H + 2m, 3m) view of a C-ordered (..., 3m, H + 2m) array. The
+    # output keeps that layout, and each tile holds whole output columns.
+    m = half_width(k)
+    rng = np.random.default_rng(100 + k)
+    kernel = rng.uniform(-1.0, 1.0, size=(k, k))
+    stack = np.empty((3, 2, 3 * m, 15 + 2 * m)).swapaxes(-1, -2)
+    stack[...] = rng.standard_normal(stack.shape)
+    stack[0, 0, :, 0] = 0.0  # signed-zero products, as in field_and_kernel
+    want = reference_accumulate(np.ascontiguousarray(stack), kernel)
+    got = _accumulate(stack, kernel)  # one tile
+    assert_bitwise_equal(got, want)
+    assert got.strides[-2] < got.strides[-1]
+    batch_column_bytes = 8 * want.shape[-2] * 6
+    for tile_columns in (1, 2):
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_columns * batch_column_bytes)
+        assert_bitwise_equal(_accumulate(stack, kernel), want)
+    # A C-contiguous input still gives a C-contiguous output.
+    assert _accumulate(np.ascontiguousarray(stack), kernel).flags.c_contiguous
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
 def test_partial_frame_rescale_matches_full_scale_map(k):
     # Fields narrower than 2m + 1 have no full-count row or column, and the
     # top and bottom (left and right) frame parts meet or would overlap.
