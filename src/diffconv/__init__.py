@@ -7,21 +7,18 @@ pixel. The package also ships the usual padding baselines, partial
 convolution, analytic test fields, and a benchmark harness.
 """
 
-from .baselines import (
+from .benchmark import BenchmarkConfig, derive_seed, rows_to_csv, run_benchmark
+from .engine import (
+    METHODS,
     SCHEME_TAGS,
     PaddingScheme,
+    apply_method,
+    as_field,
+    conv2d_diff,
+    conv2d_valid,
     pad,
     partial_conv2d,
 )
-from .benchmark import (
-    METHODS,
-    BenchmarkConfig,
-    apply_method,
-    derive_seed,
-    rows_to_csv,
-    run_benchmark,
-)
-from .engine import as_field, conv2d_diff, conv2d_valid
 from .fields import (
     FAMILIES,
     Field,
@@ -43,7 +40,7 @@ from .stencils import (
     invert_center_matrix,
     stencil_matrix,
 )
-from .transform import KernelBank, as_kernel, build_bank, kernel_from_operator
+from .transform import as_kernel, build_bank, kernel_from_operator
 
 __version__ = "0.1.0"
 
@@ -53,7 +50,6 @@ __all__ = [
     "FAMILIES",
     "Field",
     "FieldSpec",
-    "KernelBank",
     "METHODS",
     "PaddingScheme",
     "RandomKernelSpec",

@@ -1,7 +1,8 @@
 """Method-comparison benchmark on analytic fields.
 
-For each function order, every method filters the same field with the same
-random kernels, and errors are taken against the extended-sampling ground
+For each function order, every method of :data:`diffconv.engine.METHODS`
+filters the same field with the same random kernels, through the engine's
+margin table, and errors are taken against the extended-sampling ground
 truth. Per-kernel random streams are keyed by (seed, order, kernel index), so
 results are identical no matter how the work is scheduled.
 """
@@ -12,27 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
+from .engine import (
+    METHODS,
+    _accumulate,
+    _check_finite,
     _distribution_stats,
     _draw_distribution,
     _margin,
-    _partial_scale,
-    _size_keeping,
+    _rescale_frame,
+    as_field,
 )
-from .engine import _accumulate, _check_finite, as_field, conv2d_diff
 from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
 from .stencils import half_width
-
-METHODS = (
-    "diff",
-    "zero",
-    "reflect",
-    "replicate",
-    "circular",
-    "extrapolate",
-    "distribution",
-    "partial",
-)
 
 CSV_HEADER = "family,order,method,kernel_index,eps1,eps2"
 
@@ -74,19 +66,6 @@ def derive_seed(seed: int, order: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, order, index]).generate_state(1, np.uint64)[0])
 
 
-def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.ndarray:
-    """Run one boundary-handling method on a field; output keeps the field shape.
-
-    ``bank`` only has its size checked by ``diff``; ``seed`` is only consumed
-    by ``distribution``.
-    """
-    if method == "diff":
-        return conv2d_diff(field, kernel, bank=bank)
-    if method in METHODS:
-        return _size_keeping(method, field, kernel, seed)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
 def _bands(a: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The top and bottom edge bands of ``a``, ``width`` wide, stacked as
     (2, width, W), and its left and right ones stacked as (2, H, width)."""
@@ -121,7 +100,9 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     # One slot per distinct method; slot 0 is the oracle.
     slot = {method: s for s, method in enumerate(dict.fromkeys(config.methods), start=1)}
     kernels = random_kernels(RandomKernelSpec(size=k, count=config.filter_count, seed=config.seed))
-    scale = _flat(*_bands(_partial_scale(h, w, k), m))
+    scale = np.ones((h, w))
+    _rescale_frame(scale, k)  # partial's factor per pixel
+    scale = _flat(*_bands(scale, m))
     # Where in a frame vector each frame pixel first appears, in row-major
     # order of the pixels (the bands overlap at the corners).
     _, frame = np.unique(_flat(*_bands(np.arange(h * w).reshape(h, w), m)), return_index=True)

@@ -15,7 +15,8 @@ from contextlib import contextmanager
 import click
 import numpy as np
 
-from .benchmark import METHODS, BenchmarkConfig, apply_method, run_benchmark, rows_to_csv
+from .benchmark import BenchmarkConfig, run_benchmark, rows_to_csv
+from .engine import METHODS, apply_method
 from .fields import FAMILIES, FieldSpec, generate
 from .npyio import ArrayFileError, load_array, save_array, write_atomic
 from .stencils import (
@@ -36,20 +37,16 @@ def main():
     """Size-keeping 2D convolution without padding, plus boundary-handling baselines."""
 
 
-def _usage(message: str) -> click.UsageError:
-    return click.UsageError(message)
-
-
 def _parse_position(text: str, k: int) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _usage(f"position must be 'R,S', got {text!r}")
+        raise click.UsageError(f"position must be 'R,S', got {text!r}")
     try:
         r, s = int(parts[0]), int(parts[1])
     except ValueError:
-        raise _usage(f"position must be two integers, got {text!r}")
+        raise click.UsageError(f"position must be two integers, got {text!r}")
     if not (0 <= r < k and 0 <= s < k):
-        raise _usage(f"position must be in 0..{k - 1} per axis, got ({r}, {s})")
+        raise click.UsageError(f"position must be in 0..{k - 1} per axis, got ({r}, {s})")
     return r, s
 
 
@@ -57,7 +54,7 @@ def _checked_size(size: int) -> tuple[int, int]:
     try:
         return size, half_width(size)
     except ValueError as exc:
-        raise _usage(str(exc))
+        raise click.UsageError(str(exc))
 
 
 @contextmanager
@@ -113,18 +110,18 @@ def _parse_indexed_values(text: str, k: int, what: str) -> dict[tuple[int, int],
             continue
         key, sep, value = item.partition(":")
         if not sep or len(key) != 2 or not key.isdigit():
-            raise _usage(
+            raise click.UsageError(
                 f"{what} entries must look like 'ab:value' with single-digit indices, got {item!r}"
             )
         a, b = int(key[0]), int(key[1])
         if a >= k or b >= k:
-            raise _usage(f"{what} index ({a}, {b}) out of range for size {k}")
+            raise click.UsageError(f"{what} index ({a}, {b}) out of range for size {k}")
         try:
             table[(a, b)] = float(value)
         except ValueError:
-            raise _usage(f"{what} value in {item!r} is not a number")
+            raise click.UsageError(f"{what} value in {item!r} is not a number")
     if not table:
-        raise _usage(f"no {what} entries given")
+        raise click.UsageError(f"no {what} entries given")
     return table
 
 
@@ -160,7 +157,7 @@ def gen(family, order, coeffs, height, width, margin, output):
     coeff_table = None
     if family == "polynomial":
         if coeffs is None:
-            raise _usage("polynomial family requires --coeffs")
+            raise click.UsageError("polynomial family requires --coeffs")
         entries = _parse_indexed_values(coeffs, 10, "coefficient")
         max_a = max(a for a, _ in entries)
         max_b = max(b for _, b in entries)
@@ -173,7 +170,7 @@ def gen(family, order, coeffs, height, width, margin, output):
             order=order, coeffs=coeff_table, margin=margin,
         )
     except ValueError as exc:
-        raise _usage(str(exc))
+        raise click.UsageError(str(exc))
     with _writing(output):
         save_array(output, generate(spec).data)
 
@@ -193,20 +190,20 @@ def filter_cmd(input_path, kernel_path, method, seed, output):
     except ArrayFileError as exc:
         raise click.ClickException(str(exc))
     if kernel.shape[0] != kernel.shape[1]:
-        raise _usage(f"kernel must be square, got shape {kernel.shape}")
+        raise click.UsageError(f"kernel must be square, got shape {kernel.shape}")
     try:
         half_width(kernel.shape[0])
     except ValueError as exc:
-        raise _usage(str(exc))
+        raise click.UsageError(str(exc))
     if image.shape[0] < kernel.shape[0] or image.shape[1] < kernel.shape[1]:
-        raise _usage(
+        raise click.UsageError(
             f"image of shape {image.shape} is smaller than the kernel {kernel.shape}; "
             f"the image must be at least kernel-sized in both dimensions"
         )
     if seed < 0:
-        raise _usage(f"seed must be a non-negative 64-bit integer, got {seed}")
+        raise click.UsageError(f"seed must be a non-negative 64-bit integer, got {seed}")
     try:
-        result = apply_method(method, image, kernel, bank=None, seed=seed)
+        result = apply_method(method, image, kernel, seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     with _writing(output):
@@ -220,11 +217,11 @@ def _parse_orders(text: str) -> tuple[int, ...]:
             lo_text, hi_text = text.split(":", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
-                raise _usage(f"empty order range {text!r}")
+                raise click.UsageError(f"empty order range {text!r}")
             return tuple(range(lo, hi + 1))
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _usage(f"orders must be 'A:B' or a comma list of integers, got {text!r}")
+        raise click.UsageError(f"orders must be 'A:B' or a comma list of integers, got {text!r}")
 
 
 @main.command()
@@ -255,7 +252,7 @@ def compare(family, orders, height, width, size, filter_count, seed, methods, ou
             methods=tuple(m.strip() for m in methods.split(",") if m.strip()),
         )
     except ValueError as exc:
-        raise _usage(str(exc))
+        raise click.UsageError(str(exc))
     rows = run_benchmark(config)
     _emit(rows_to_csv(rows), output)
 
@@ -273,8 +270,14 @@ def dump_bank(kernel_path, output):
         half_width(kernel.shape[0])
         bank = build_bank(kernel)
     except ValueError as exc:
-        raise _usage(str(exc))
-    _emit(bank.to_json() + "\n", output)
+        raise click.UsageError(str(exc))
+    k = kernel.shape[0]
+    payload = {
+        "size": k,
+        "base": kernel.tolist(),
+        "kernels": {f"{r},{s}": bank[r * k + s].tolist() for r in range(k) for s in range(k)},
+    }
+    _emit(json.dumps(payload, indent=2) + "\n", output)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Size-keeping 2D convolution without padding.
+"""Size-keeping 2D convolution without padding, and the boundary baselines.
 
 Interior pixels get the ordinary valid convolution. Every near-boundary pixel
 is served by its nearest complete window: its value is the kernel's action
@@ -9,21 +9,58 @@ degree K-1 through the nearest K pixels, so the whole output is computed as
 a valid convolution of the field extended that way. Only the image's own
 pixels determine the result.
 
+That makes ``diff`` one row of a margin table shared with the baselines
+(zero, reflect, replicate, circular, degree-m extrapolation, distribution
+padding, and partial convolution): every method in :data:`METHODS` fills a
+half-width margin (:func:`_margin`), runs one valid accumulation over the
+result, and ``partial`` then rescales its zero-padded frame by the inverse
+fraction of in-image pixels per window. :func:`apply_method` is the one
+validated path all of them take.
+
 All products use cross-correlation orientation (no kernel flip), and every
 output pixel is accumulated in the same fixed kernel-index order, so results
-are bitwise reproducible and the interior agrees bitwise with
+are bitwise reproducible and every method's interior agrees bitwise with
 :func:`conv2d_valid`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .stencils import half_width, lagrange_values
-from .transform import KernelBank, as_kernel
+from .transform import as_kernel
+
+METHODS = (
+    "diff",
+    "zero",
+    "reflect",
+    "replicate",
+    "circular",
+    "extrapolate",
+    "distribution",
+    "partial",
+)
+
+# The padding schemes: every method but the two that are more than a margin.
+SCHEME_TAGS = tuple(method for method in METHODS if method not in ("diff", "partial"))
+
+_NP_PAD_MODES = {"reflect": "reflect", "replicate": "edge", "circular": "wrap"}
+
+
+@dataclass(frozen=True)
+class PaddingScheme:
+    """Padding selection. ``seed`` is only consumed by ``distribution``."""
+
+    tag: str
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.tag not in SCHEME_TAGS:
+            raise ValueError(f"unknown padding scheme {self.tag!r}; expected one of {SCHEME_TAGS}")
 
 
 def as_field(field) -> np.ndarray:
@@ -36,13 +73,16 @@ def as_field(field) -> np.ndarray:
     return arr
 
 
-def _check_sizes(field: np.ndarray, k: int) -> None:
+def _check_sizes(field: np.ndarray, k: int, method: str) -> None:
+    """Raise ``ValueError`` naming ``method`` unless ``field`` holds what it
+    reads: one pixel for the methods whose margin any pixel can fill, one
+    complete K x K window for the others, which read a K-wide band next to
+    each edge, and for ``conv2d_valid``."""
     h, w = field.shape
-    if h < k or w < k:
-        raise ValueError(
-            f"field of shape {h}x{w} is smaller than the {k}x{k} kernel; "
-            f"need at least one complete window"
-        )
+    need = 1 if method in ("zero", "replicate", "circular", "partial") else k
+    if h < need or w < need:
+        what = "one pixel" if need == 1 else f"one complete window ({k}x{k})"
+        raise ValueError(f"{method} got a field of shape {h}x{w}; it needs at least {what}")
 
 
 # Rows per tile are chosen so that one output tile, leading batch axes
@@ -89,11 +129,21 @@ def conv2d_valid(field, kernel) -> np.ndarray:
     arr = as_field(field)
     ker = as_kernel(kernel)
     k = ker.shape[0]
-    _check_sizes(arr, k)
+    _check_sizes(arr, k, "conv2d_valid")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _accumulate(arr, ker)
     _check_finite(out, "conv2d_valid", k)
     return out
+
+
+def _degree(method: str, k: int) -> int | None:
+    """The degree of the polynomial ``method`` extrapolates its margin with:
+    K-1 for ``diff``, m for ``extrapolate``, None for every other method."""
+    if method == "diff":
+        return k - 1
+    if method == "extrapolate":
+        return half_width(k)
+    return None
 
 
 @cache
@@ -125,29 +175,70 @@ def _pad_extrapolate(field: np.ndarray, k: int, degree: int) -> np.ndarray:
     return padded
 
 
-def conv2d_diff(field, kernel, bank: KernelBank | None = None) -> np.ndarray:
-    """Size-keeping convolution via transformed boundary kernels.
+def _distribution_stats(field: np.ndarray, k: int) -> tuple[tuple[float, float], ...]:
+    """(mean, sample std with ddof=1) of the left, right, top and bottom edge
+    bands of thickness (K + 1) / 2: the parameters of distribution padding."""
+    thickness = half_width(k) + 1
+    h, w = field.shape
+    bands = (field[:, :thickness], field[:, w - thickness:],
+             field[:thickness, :], field[h - thickness:, :])
+    return tuple((float(np.mean(band)), float(np.std(band, ddof=1))) for band in bands)
 
-    Computed as the valid convolution of the field extended by degree-(K-1)
-    extrapolation, which equals applying the bank kernel for each boundary
-    pixel's in-window position to its nearest complete window. Interior
-    output equals :func:`conv2d_valid` bitwise. ``bank`` is accepted for
-    compatibility and only checked against the kernel size.
 
-    Raises ``ValueError`` when the output is not finite: the extrapolation
-    multiplies field values by up to (max |t_r|)^2 at the corners (9, 2025,
-    7.1e5 and 3.0e8 for K = 3, 5, 7, 9), which can overflow.
+def _draw_distribution(padded: np.ndarray, m: int, stats, seed: int) -> None:
+    # Overwrite the margin of ``padded`` with i.i.d. normal draws per edge.
+    # Stream: PCG64 via numpy.random.default_rng(seed), standard_normal draws
+    # in fixed order left, right, top, bottom, so margins depend only on
+    # (seed, shape, k).
+    (mu_l, sd_l), (mu_r, sd_r), (mu_t, sd_t), (mu_b, sd_b) = stats
+    h, w = padded.shape[0] - 2 * m, padded.shape[1]
+    rng = np.random.default_rng(seed)
+    padded[m:m + h, :m] = mu_l + sd_l * rng.standard_normal((h, m))
+    padded[m:m + h, w - m:] = mu_r + sd_r * rng.standard_normal((h, m))
+    padded[:m] = mu_t + sd_t * rng.standard_normal((m, w))
+    padded[m + h:] = mu_b + sd_b * rng.standard_normal((m, w))
+
+
+def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """The validated ``field`` surrounded by the half-width margin that
+    ``method`` (any of :data:`METHODS`) convolves.
+
+    This is the one place that maps a method name to its margin. ``diff``
+    and ``extrapolate`` extrapolate (see :func:`_degree`); ``partial`` and
+    ``zero`` use zeros; ``distribution`` draws per edge from ``seed``.
     """
-    arr = as_field(field)
-    ker = as_kernel(kernel)
-    k = ker.shape[0]
-    _check_sizes(arr, k)
-    if bank is not None and bank.size != k:
-        raise ValueError(f"bank is for size {bank.size}, kernel has size {k}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _accumulate(_pad_extrapolate(arr, k, k - 1), ker)
-    _check_finite(out, "diff", k)
-    return out
+    m = half_width(k)
+    _check_sizes(field, k, method)
+    degree = _degree(method, k)
+    if degree is not None:
+        return _pad_extrapolate(field, k, degree)
+    if method in _NP_PAD_MODES:
+        return np.pad(field, m, mode=_NP_PAD_MODES[method])
+    padded = np.pad(field, m)
+    if method == "distribution":
+        _draw_distribution(padded, m, _distribution_stats(field, k), seed)
+    return padded
+
+
+def _window_counts(n: int, k: int) -> np.ndarray:
+    """In-image pixels per K-wide window centred on each of n positions."""
+    m = half_width(k)
+    idx = np.arange(n)
+    return np.minimum(idx + m, n - 1) - np.maximum(idx - m, 0) + 1
+
+
+def _rescale_frame(out: np.ndarray, k: int) -> None:
+    """Multiply the m-wide frame of ``out`` in place by K^2 / (in-image
+    pixels per window), partial convolution's factor; the interior's is 1."""
+    m = half_width(k)
+    h, w = out.shape
+    rows, cols = _window_counts(h, k), _window_counts(w, k)
+    # Rows [top, bottom) and columns [left, right) have full window counts.
+    top, left = min(m, h), min(m, w)
+    bottom, right = max(h - m, top), max(w - m, left)
+    for ys, xs in ((slice(0, top), slice(0, w)), (slice(bottom, h), slice(0, w)),
+                   (slice(top, bottom), slice(0, left)), (slice(top, bottom), slice(right, w))):
+        out[ys, xs] *= (k * k) / np.outer(rows[ys], cols[xs])
 
 
 def _check_finite(out: np.ndarray, method: str, k: int) -> None:
@@ -157,9 +248,79 @@ def _check_finite(out: np.ndarray, method: str, k: int) -> None:
     if np.all(np.isfinite(out)):
         return
     cause = "rescale the field"
-    if method in ("diff", "extrapolate"):
-        degree = k - 1 if method == "diff" else half_width(k)
+    degree = _degree(method, k)
+    if degree is not None:
         gain = float(np.max(np.abs(_extrapolation_weights(degree, half_width(k))))) ** 2
         cause = (f"boundary extrapolation scales field values by up to the corner gain "
                  f"||t||_inf^2 = {gain:.4g}; {cause}")
     raise ValueError(f"{method} output is not finite for K={k}: {cause}")
+
+
+def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.ndarray:
+    """Run one boundary-handling method on a field; output keeps the field shape.
+
+    The one validated path of every method: validate the field and kernel
+    once, fill the margin, accumulate, rescale ``partial``'s frame, then
+    check the output is finite. ``bank`` is accepted for compatibility and
+    only checked against the kernel size; ``seed`` is only consumed by
+    ``distribution``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    arr = as_field(field)
+    ker = as_kernel(kernel)
+    k = ker.shape[0]
+    if bank is not None and np.shape(bank) != (k * k, k, k):
+        raise ValueError(f"bank of shape {np.shape(bank)} does not match the {k}x{k} kernel")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _accumulate(_margin(method, arr, k, seed), ker)
+        if method == "partial":
+            _rescale_frame(out, k)
+    _check_finite(out, method, k)
+    return out
+
+
+def conv2d_diff(field, kernel, bank=None) -> np.ndarray:
+    """Size-keeping convolution via transformed boundary kernels.
+
+    Computed as the valid convolution of the field extended by degree-(K-1)
+    extrapolation, which equals applying the bank kernel for each boundary
+    pixel's in-window position to its nearest complete window. Interior
+    output equals :func:`conv2d_valid` bitwise. ``bank`` (as from
+    :func:`diffconv.transform.build_bank`) is accepted for compatibility and
+    only checked against the kernel size.
+
+    Raises ``ValueError`` when the output is not finite: the extrapolation
+    multiplies field values by up to (max |t_r|)^2 at the corners (9, 2025,
+    7.1e5 and 3.0e8 for K = 3, 5, 7, 9), which can overflow.
+    """
+    return apply_method("diff", field, kernel, bank=bank)
+
+
+def partial_conv2d(field, kernel) -> np.ndarray:
+    """Zero-padded convolution rescaled by K^2 / (in-image pixels per window).
+
+    Interior windows have a full pixel count, so their factor is exactly 1.0
+    and interior output equals the zero-padded convolution exactly; only the
+    m-wide frame is rescaled, in place.
+    """
+    return apply_method("partial", field, kernel)
+
+
+def pad(field, k: int, scheme) -> np.ndarray:
+    """Surround ``field`` with a margin of half-width cells filled per ``scheme``.
+
+    Output shape is (H+2M) x (W+2M) with the input verbatim in the center.
+    Row (left/right) margins are filled before column (top/bottom) margins for
+    the schemes that extend the field in passes, so corners come from the
+    column pass.
+
+    Raises ``ValueError`` naming the scheme and K when the margin is not
+    finite: extrapolation and the distribution's edge statistics can
+    overflow on a finite field.
+    """
+    chosen = scheme if isinstance(scheme, PaddingScheme) else PaddingScheme(str(scheme))
+    with np.errstate(over="ignore", invalid="ignore"):
+        padded = _margin(chosen.tag, as_field(field), k, chosen.seed)
+    _check_finite(padded, chosen.tag, k)
+    return padded

@@ -6,13 +6,12 @@ another in-window position (r, s) gives a transformed kernel that acts on the
 nearest complete window instead. The transform is separable: it is
 t_r W t_s^T for the K x K kernel W, where t_r is the integer Lagrange shift
 matrix of :func:`diffconv.stencils.shift_matrix`. Only the K shift matrices
-are kept, as float64, per kernel size.
+are kept, as float64, per kernel size. A kernel's bank of all K^2 variants is
+a plain read-only array; ``diffconv dump-bank`` writes it as JSON.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -55,37 +54,13 @@ def kernel_from_operator(coeffs) -> np.ndarray:
     return (mat_to_floats(stencil_matrix(k, m, m)) @ alpha).reshape(k, k)
 
 
-@dataclass(frozen=True)
-class KernelBank:
-    """All K^2 transformed variants of one kernel, indexed by (r, s).
+def build_bank(kernel) -> np.ndarray:
+    """All K^2 transformed variants of one kernel, as a read-only (K^2, K, K)
+    array.
 
-    ``kernels[r*size+s]`` is the kernel to apply over a complete window when
-    the target pixel sits at in-window position (r, s); the center entry is
-    the original kernel.
-    """
-
-    size: int
-    base: np.ndarray
-    kernels: np.ndarray
-
-    def to_json(self) -> str:
-        payload = {
-            "size": self.size,
-            "base": self.base.tolist(),
-            "kernels": {
-                f"{r},{s}": self.kernels[r * self.size + s].tolist()
-                for r in range(self.size)
-                for s in range(self.size)
-            },
-        }
-        return json.dumps(payload, indent=2)
-
-
-def build_bank(kernel) -> KernelBank:
-    """Build the full transformed-kernel bank for one kernel.
-
-    Entry (r, s) is t_r W t_s^T; the center entry is the original kernel
-    verbatim.
+    Entry r*K+s is t_r W t_s^T, the kernel to apply over a complete window
+    when the target pixel sits at in-window position (r, s); the center
+    entry is the original kernel verbatim.
     """
     arr = as_kernel(kernel)
     k = arr.shape[0]
@@ -96,6 +71,4 @@ def build_bank(kernel) -> KernelBank:
     kernels = kernels.reshape(k * k, k, k)
     kernels[m * k + m] = arr
     kernels.setflags(write=False)
-    base = arr.copy()
-    base.setflags(write=False)
-    return KernelBank(size=k, base=base, kernels=kernels)
+    return kernels

@@ -77,3 +77,12 @@ def reference_pad_extrapolate(field: np.ndarray, k: int, degree: int) -> np.ndar
     top = (weights.T @ widened[:degree + 1, :])[::-1, :]
     bottom = weights.T @ widened[::-1, :][:degree + 1, :]
     return np.vstack([top, widened, bottom])
+
+
+def partial_scale(h: int, w: int, k: int) -> np.ndarray:
+    """Reference for partial convolution's rescale: K^2 / (in-image pixels
+    per K x K window) for each pixel of an h x w output, as one full map."""
+    m = half_width(k)
+    counts = [np.minimum(np.arange(n) + m, n - 1) - np.maximum(np.arange(n) - m, 0) + 1
+              for n in (h, w)]
+    return (k * k) / np.outer(*counts)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from diffconv.baselines import SCHEME_TAGS, PaddingScheme, pad, partial_conv2d
-from diffconv.benchmark import apply_method
-from diffconv.engine import conv2d_diff, conv2d_valid
+from diffconv.engine import (
+    SCHEME_TAGS,
+    PaddingScheme,
+    apply_method,
+    conv2d_diff,
+    conv2d_valid,
+    pad,
+    partial_conv2d,
+)
 from diffconv.fields import FieldSpec, generate
 from diffconv.stencils import half_width
 

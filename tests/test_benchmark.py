@@ -3,15 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from diffconv import baselines, benchmark, engine, fields
-from diffconv.benchmark import (
-    METHODS,
-    BenchmarkConfig,
-    apply_method,
-    derive_seed,
-    rows_to_csv,
-    run_benchmark,
-)
+from diffconv import benchmark, engine, fields
+from diffconv.benchmark import BenchmarkConfig, derive_seed, rows_to_csv, run_benchmark
+from diffconv.engine import METHODS, apply_method
 from diffconv.fields import (
     Field,
     FieldSpec,
@@ -131,7 +125,7 @@ def test_run_benchmark_checks_slots_only_when_a_cell_is_not_finite(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("method", [*METHODS, "oracle"])
+@pytest.mark.parametrize("method", [*METHODS, "oracle", "conv2d_diff", "partial_conv2d", "pad"])
 def test_each_call_validates_its_field_once(monkeypatch, method):
     scanned = []
 
@@ -140,13 +134,18 @@ def test_each_call_validates_its_field_once(monkeypatch, method):
         return as_field(field)
 
     as_field = engine.as_field
-    for module in (engine, baselines, fields):
+    for module in (engine, fields):
         monkeypatch.setattr(module, "as_field", counting, raising=False)
     fld = generate(FieldSpec(family="chebyshev", height=9, width=11, order=3, margin=1))
     kernel = random_kernels(RandomKernelSpec(size=3, count=1, seed=2))[0]
     if method == "oracle":
         oracle_convolution(fld, kernel)
         assert scanned == [(11, 13)]
-    else:
+        return
+    if method == "pad":
+        engine.pad(fld.core, 3, "reflect")
+    elif method in METHODS:
         apply_method(method, fld.core, kernel, seed=4)
-        assert scanned == [(9, 11)]
+    else:  # the public wrappers around apply_method
+        getattr(engine, method)(fld.core, kernel)
+    assert scanned == [(9, 11)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import identity_kernel
 
-from diffconv.engine import conv2d_diff, conv2d_valid
+from diffconv.engine import METHODS, apply_method, conv2d_diff, conv2d_valid
 from diffconv.fields import FieldSpec, generate, oracle_convolution
 from diffconv.transform import build_bank
 
@@ -25,12 +25,12 @@ def nearest_window_loop(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             cy = min(max(y, m), h - 1 - m)
             cx = min(max(x, m), w - 1 - m)
             window = field[cy - m:cy + m + 1, cx - m:cx + m + 1]
-            out[y, x] = np.sum(bank.kernels[(y - cy + m) * k + x - cx + m] * window)
+            out[y, x] = np.sum(bank[(y - cy + m) * k + x - cx + m] * window)
     return out
 
 
 def window_value(bank, window: np.ndarray, r: int, s: int) -> float:
-    return float(np.sum(bank.kernels[r * bank.size + s] * window))
+    return float(np.sum(bank[r * window.shape[0] + s] * window))
 
 
 def test_valid_ones_counting():
@@ -283,6 +283,16 @@ def test_prebuilt_bank_matches_and_validates():
     assert np.array_equal(conv2d_diff(field, kernel, bank=bank), conv2d_diff(field, kernel))
     with pytest.raises(ValueError):
         conv2d_diff(field, rng.uniform(-1, 1, (5, 5)), bank=bank)
+
+
+@pytest.mark.parametrize("method", [*METHODS, "conv2d_valid"])
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_field_is_rejected_naming_the_method(method, shape):
+    with pytest.raises(ValueError, match=rf"^{method} got a field of shape {shape[0]}x{shape[1]};"):
+        if method == "conv2d_valid":
+            conv2d_valid(np.ones(shape), np.ones((3, 3)))
+        else:
+            apply_method(method, np.ones(shape), np.ones((3, 3)))
 
 
 def test_diff_rejects_undersized_field():

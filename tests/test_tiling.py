@@ -5,12 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_accumulate, reference_pad_extrapolate
+from conftest import partial_scale, reference_accumulate, reference_pad_extrapolate
 
 from diffconv import engine
-from diffconv.baselines import PaddingScheme, _partial_scale, pad, partial_conv2d
-from diffconv.benchmark import METHODS, apply_method
-from diffconv.engine import _accumulate, _pad_extrapolate, conv2d_diff, conv2d_valid
+from diffconv.engine import (
+    METHODS,
+    PaddingScheme,
+    _accumulate,
+    _pad_extrapolate,
+    apply_method,
+    conv2d_diff,
+    conv2d_valid,
+    pad,
+    partial_conv2d,
+)
 from diffconv.stencils import half_width
 
 
@@ -21,7 +29,7 @@ def reference_method(method: str, field: np.ndarray, kernel: np.ndarray, seed: i
     m = half_width(k)
     if method == "partial":
         h, w = field.shape
-        return reference_accumulate(np.pad(field, m), kernel) * _partial_scale(h, w, k)
+        return reference_accumulate(np.pad(field, m), kernel) * partial_scale(h, w, k)
     if method == "diff":
         padded = reference_pad_extrapolate(field, k, k - 1)
     elif method == "extrapolate":

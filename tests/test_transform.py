@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from conftest import identity_kernel, mat_identity, mat_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffconv.cli import main
+from diffconv.npyio import save_array
 from diffconv.stencils import (
     derivative_stencil,
     half_width,
@@ -120,7 +123,7 @@ def test_round_trip_coefficients(k):
 
 
 def test_transform_box_blur_corner():
-    assert np.array_equal(build_bank(np.ones((3, 3))).kernels[0], BOX_BLUR_CORNER)
+    assert np.array_equal(build_bank(np.ones((3, 3)))[0], BOX_BLUR_CORNER)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -128,7 +131,7 @@ def test_transform_center_is_noop(k):
     rng = np.random.default_rng(300 + k)
     omega = rng.uniform(-1.0, 1.0, size=(k, k))
     m = half_width(k)
-    assert np.array_equal(build_bank(omega).kernels[m * k + m], omega)
+    assert np.array_equal(build_bank(omega)[m * k + m], omega)
 
 
 def test_transform_identity_kernel_gives_indicators():
@@ -139,7 +142,7 @@ def test_transform_identity_kernel_gives_indicators():
             for s in range(k):
                 expected = np.zeros((k, k))
                 expected[r, s] = 1.0
-                assert np.array_equal(bank.kernels[r * k + s], expected)
+                assert np.array_equal(bank[r * k + s], expected)
 
 
 def test_transform_rejects_bad_position():
@@ -210,7 +213,7 @@ def test_transform_is_kron_of_shift_matrices(k, full):
     # a full sweep costs about 15 s of Fraction products.
     inverse = invert_center_matrix(k)
     units = np.eye(k * k).reshape(k * k, k, k)
-    banks = np.stack([build_bank(unit).kernels for unit in units])  # [col, pos, i, j]
+    banks = np.stack([build_bank(unit) for unit in units])  # [col, pos, i, j]
     for r, s in positions(k, full):
         separable = kron(shift_matrix(k, r), shift_matrix(k, s))
         assert mat_mul(stencil_matrix(k, r, s), inverse) == separable
@@ -226,7 +229,7 @@ def test_bank_kernel_sum_drift_tracks_transform_magnitude(k, bound):
     worst = 0.0
     for _ in range(50):
         omega = rng.uniform(-1.0, 1.0, size=(k, k))
-        sums = build_bank(omega).kernels.sum(axis=(1, 2))
+        sums = build_bank(omega).sum(axis=(1, 2))
         worst = max(worst, float(np.max(np.abs(sums - omega.sum()))))
     assert worst <= bound
 
@@ -234,10 +237,10 @@ def test_bank_kernel_sum_drift_tracks_transform_magnitude(k, bound):
 def test_bank_structure_and_center_entry():
     omega = np.ones((3, 3))
     bank = build_bank(omega)
-    assert bank.size == 3
-    assert bank.kernels.shape == (9, 3, 3)
-    assert np.array_equal(bank.kernels[0], BOX_BLUR_CORNER)
-    assert np.array_equal(bank.kernels[1 * 3 + 1], omega)
+    assert bank.shape == (9, 3, 3)
+    assert not bank.flags.writeable
+    assert np.array_equal(bank[0], BOX_BLUR_CORNER)
+    assert np.array_equal(bank[1 * 3 + 1], omega)
 
 
 def test_bank_of_identity_kernel_is_indicators():
@@ -246,7 +249,7 @@ def test_bank_of_identity_kernel_is_indicators():
         for s in range(3):
             expected = np.zeros((3, 3))
             expected[r, s] = 1.0
-            assert np.array_equal(bank.kernels[r * 3 + s], expected)
+            assert np.array_equal(bank[r * 3 + s], expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -255,7 +258,7 @@ def test_bank_preserves_kernel_sum(seed):
     rng = np.random.default_rng(seed)
     omega = rng.uniform(-1.0, 1.0, size=(3, 3))
     bank = build_bank(omega)
-    sums = bank.kernels.sum(axis=(1, 2))
+    sums = bank.sum(axis=(1, 2))
     assert np.max(np.abs(sums - omega.sum())) <= 1e-10
 
 
@@ -265,18 +268,25 @@ def test_transform_linearity(k):
     a, b = 0.7, -1.3
     om1 = rng.uniform(-1.0, 1.0, size=(k, k))
     om2 = rng.uniform(-1.0, 1.0, size=(k, k))
-    lhs = build_bank(a * om1 + b * om2).kernels
-    rhs = a * build_bank(om1).kernels + b * build_bank(om2).kernels
+    lhs = build_bank(a * om1 + b * om2)
+    rhs = a * build_bank(om1) + b * build_bank(om2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_bank_json_round_trip():
+def test_bank_json_round_trip(tmp_path):
+    # ``dump-bank`` writes the bank of a kernel as JSON: its size, the kernel
+    # as loaded, and every entry keyed by its in-window position "r,s".
     rng = np.random.default_rng(7)
-    omega = rng.uniform(-1.0, 1.0, size=(3, 3))
-    bank = build_bank(omega)
-    payload = json.loads(bank.to_json())
-    assert payload["size"] == bank.size
-    assert payload["base"] == bank.base.tolist()
-    assert payload["kernels"] == {
-        f"{r},{s}": bank.kernels[r * 3 + s].tolist() for r in range(3) for s in range(3)
-    }
+    for k in (3, 9):
+        omega = rng.uniform(-1.0, 1.0, size=(k, k))
+        path = tmp_path / f"k{k}.npy"
+        save_array(path, omega)
+        result = CliRunner().invoke(main, ["dump-bank", "--kernel", str(path)])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        bank = build_bank(omega)
+        assert payload["size"] == k
+        assert payload["base"] == omega.tolist()
+        assert payload["kernels"] == {
+            f"{r},{s}": bank[r * k + s].tolist() for r in range(k) for s in range(k)
+        }
