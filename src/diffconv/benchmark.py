@@ -24,6 +24,7 @@ from .engine import (
     as_field,
 )
 from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
+from .metrics import running_mean
 from .stencils import half_width
 
 CSV_HEADER = "family,order,method,kernel_index,eps1,eps2"
@@ -90,8 +91,8 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     convolution of the 3m-wide edge bands of the padded field, the same
     arithmetic per pixel as the full convolution. ``l1_error`` and ``mse``
     sum the errors left to right in row-major order, where a zero adds
-    nothing; eps1 and eps2 are the running sums over the frame pixels alone,
-    each once and in row-major order, divided by H*W, so they are bitwise
+    nothing; eps1 and eps2 are the ``running_mean`` of the frame pixels'
+    errors alone, each once and in row-major order, over H*W, so they are bitwise
     ``l1_error`` and ``mse`` of each method's ``apply_method`` output
     against ``oracle_convolution``.
     """
@@ -134,9 +135,7 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
                     _check_finite(out[s], method, k)
             out = out[:, frame]
             d = out[1:] - out[0]
-            eps.append([float(v) / (h * w)
-                        for err in (np.abs(d), d * d)
-                        for v in np.add.accumulate(err, axis=-1)[:, -1]])
+            eps.append([float(v) for err in (np.abs(d), d * d) for v in running_mean(err, h * w)])
         n = len(slot)
         for method in config.methods:
             s = slot[method] - 1

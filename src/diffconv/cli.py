@@ -1,8 +1,12 @@
 """Command-line surface: generate fields, build and dump kernels, filter
 arrays, and run method-comparison benchmarks.
 
-Arrays travel as NPY v1.0 float64 files, benchmark reports as CSV. Exit codes:
-0 on success, 2 on usage errors, 1 on runtime errors. Diagnostics go to
+Arrays travel as NPY v1.0 float64 files, benchmark reports as CSV. This
+module only parses options, calls the library and maps its errors to an exit
+code; every rule on shapes, sizes and positions is the library's. Exit codes:
+0 on success; 2 when the command line is wrong (a parse error, or the
+library rejects an option value); 1 when the contents of an input file are
+rejected or the run fails (an overflow, a failed write). Diagnostics go to
 stderr; data goes to files or stdout only.
 """
 
@@ -18,7 +22,7 @@ import numpy as np
 from .benchmark import BenchmarkConfig, run_benchmark, rows_to_csv
 from .engine import METHODS, apply_method
 from .fields import FAMILIES, FieldSpec, generate
-from .npyio import ArrayFileError, load_array, save_array, write_atomic
+from .npyio import load_array, save_array, write_atomic
 from .stencils import (
     center_condition_number,
     derivative_stencil,
@@ -37,24 +41,14 @@ def main():
     """Size-keeping 2D convolution without padding, plus boundary-handling baselines."""
 
 
-def _parse_position(text: str, k: int) -> tuple[int, int]:
+def _parse_position(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise click.UsageError(f"position must be 'R,S', got {text!r}")
     try:
-        r, s = int(parts[0]), int(parts[1])
+        return int(parts[0]), int(parts[1])
     except ValueError:
         raise click.UsageError(f"position must be two integers, got {text!r}")
-    if not (0 <= r < k and 0 <= s < k):
-        raise click.UsageError(f"position must be in 0..{k - 1} per axis, got ({r}, {s})")
-    return r, s
-
-
-def _checked_size(size: int) -> tuple[int, int]:
-    try:
-        return size, half_width(size)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 @contextmanager
@@ -82,23 +76,25 @@ def _emit(text: str, output: str | None) -> None:
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON path (default stdout).")
 def kernels(size, pos, exact, output):
     """Dump derivative stencils, stencil matrices and the position transform as JSON."""
-    size, m = _checked_size(size)
-    r, s = (m, m) if pos is None else _parse_position(pos, size)
-    stencils_payload = {
-        f"{oy},{ox}": matrix_payload(derivative_stencil(size, oy, ox, r, s), exact)
-        for oy in range(size)
-        for ox in range(size)
-    }
-    payload = {
-        "size": size,
-        "position": [r, s],
-        "derivative_stencils": stencils_payload,
-        "stencil_matrix": matrix_payload(stencil_matrix(size, r, s), exact),
-        "center_inverse": matrix_payload(invert_center_matrix(size), exact),
-        # The transform D(r, s) D(center)^-1 is kron(t_r, t_s) exactly.
-        "transform": matrix_payload(kron(shift_matrix(size, r), shift_matrix(size, s)), exact),
-        "center_condition_1norm": center_condition_number(size),
-    }
+    try:
+        m = half_width(size)
+        r, s = (m, m) if pos is None else _parse_position(pos)
+        payload = {
+            "size": size,
+            "position": [r, s],
+            "derivative_stencils": {
+                f"{oy},{ox}": matrix_payload(derivative_stencil(size, oy, ox, r, s), exact)
+                for oy in range(size)
+                for ox in range(size)
+            },
+            "stencil_matrix": matrix_payload(stencil_matrix(size, r, s), exact),
+            "center_inverse": matrix_payload(invert_center_matrix(size), exact),
+            # The transform D(r, s) D(center)^-1 is kron(t_r, t_s) exactly.
+            "transform": matrix_payload(kron(shift_matrix(size, r), shift_matrix(size, s)), exact),
+            "center_condition_1norm": center_condition_number(size),
+        }
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _emit(json.dumps(payload, indent=2) + "\n", output)
 
 
@@ -132,13 +128,18 @@ def _parse_indexed_values(text: str, k: int, what: str) -> dict[tuple[int, int],
 @click.option("--output", type=click.Path(dir_okay=False), required=True, help="Output NPY path.")
 def make_kernel(size, op_text, output):
     """Build the kernel equivalent to a linear differential operator."""
-    size, _ = _checked_size(size)
-    entries = _parse_indexed_values(op_text, size, "operator")
-    alpha = np.zeros(size * size, dtype=np.float64)
-    for (oy, ox), value in entries.items():
-        alpha[oy * size + ox] = value
+    try:
+        # The size rule first: the size bounds the indices and sizes a K^2 vector.
+        half_width(size)
+        entries = _parse_indexed_values(op_text, size, "operator")
+        alpha = np.zeros(size * size, dtype=np.float64)
+        for (oy, ox), value in entries.items():
+            alpha[oy * size + ox] = value
+        kernel = kernel_from_operator(alpha)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     with _writing(output):
-        save_array(output, kernel_from_operator(alpha))
+        save_array(output, kernel)
 
 
 @main.command()
@@ -179,31 +180,13 @@ def gen(family, order, coeffs, height, width, margin, output):
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--kernel", "kernel_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--method", type=click.Choice(METHODS), required=True)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Seed for distribution padding.")
 @click.option("--output", type=click.Path(dir_okay=False), required=True, help="Output NPY path.")
 def filter_cmd(input_path, kernel_path, method, seed, output):
     """Filter an array with the selected boundary-handling method."""
     try:
-        image = load_array(input_path)
-        kernel = load_array(kernel_path)
-    except ArrayFileError as exc:
-        raise click.ClickException(str(exc))
-    if kernel.shape[0] != kernel.shape[1]:
-        raise click.UsageError(f"kernel must be square, got shape {kernel.shape}")
-    try:
-        half_width(kernel.shape[0])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if image.shape[0] < kernel.shape[0] or image.shape[1] < kernel.shape[1]:
-        raise click.UsageError(
-            f"image of shape {image.shape} is smaller than the kernel {kernel.shape}; "
-            f"the image must be at least kernel-sized in both dimensions"
-        )
-    if seed < 0:
-        raise click.UsageError(f"seed must be a non-negative 64-bit integer, got {seed}")
-    try:
-        result = apply_method(method, image, kernel, seed=seed)
+        result = apply_method(method, load_array(input_path), load_array(kernel_path), seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     with _writing(output):
@@ -264,13 +247,9 @@ def dump_bank(kernel_path, output):
     """Export the transformed-kernel bank of a kernel as JSON."""
     try:
         kernel = load_array(kernel_path)
-    except ArrayFileError as exc:
-        raise click.ClickException(str(exc))
-    try:
-        half_width(kernel.shape[0])
         bank = build_bank(kernel)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.ClickException(str(exc))
     k = kernel.shape[0]
     payload = {
         "size": k,

@@ -1,10 +1,10 @@
 """Error metrics for method comparison.
 
-Both metrics are one explicit sum: the left-to-right running sum of the
-per-pixel errors in row-major order (``np.add.accumulate``, whose order is
-fixed), divided by the pixel count. A pixel with zero error adds nothing to
-that sum, so a caller that knows where the errors are non-zero can sum only
-those pixels, in the same order, and get the same bits.
+Both metrics are one explicit sum, :func:`running_mean`: the left-to-right
+running sum of the per-pixel errors in row-major order (``np.add.accumulate``,
+whose order is fixed), divided by the pixel count. A pixel with zero error
+adds nothing to that sum, so a caller that knows where the errors are
+non-zero can sum only those pixels, in the same order, and get the same bits.
 """
 
 from __future__ import annotations
@@ -22,18 +22,20 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _row_major_mean(err: np.ndarray) -> float:
-    return float(np.add.accumulate(err.reshape(-1))[-1] / err.size)
+def running_mean(err: np.ndarray, count: int) -> np.ndarray:
+    """The left-to-right running sum of ``err`` along its last axis, divided
+    by ``count``; leading axes are a batch."""
+    return np.add.accumulate(err, axis=-1)[..., -1] / count
 
 
 def l1_error(a, b) -> float:
     """Mean absolute difference over all pixels, summed in row-major order."""
     a, b = _check_pair(a, b)
-    return _row_major_mean(np.abs(a - b))
+    return float(running_mean(np.abs(a - b).reshape(-1), a.size))
 
 
 def mse(a, b) -> float:
     """Mean squared difference over all pixels, summed in row-major order."""
     a, b = _check_pair(a, b)
     d = a - b
-    return _row_major_mean(d * d)
+    return float(running_mean((d * d).reshape(-1), a.size))

