@@ -15,6 +15,7 @@ import numpy as np
 
 from .engine import (
     METHODS,
+    _TILE_BYTES,
     _accumulate,
     _check_finite,
     _distribution_stats,
@@ -67,17 +68,21 @@ def derive_seed(seed: int, order: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, order, index]).generate_state(1, np.uint64)[0])
 
 
-def _bands(a: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top and bottom edge bands of ``a``, ``width`` wide, stacked as
-    (2, width, W), and its left and right ones stacked as (2, H, width)."""
-    return np.stack([a[:width], a[-width:]]), np.stack([a[:, :width], a[:, -width:]])
-
-
-def _flat(tb: np.ndarray, lr: np.ndarray) -> np.ndarray:
-    """Band stacks as from :func:`_bands`, with any leading axes, joined into
-    one vector per leading index: top, bottom, left, right."""
-    lead = tb.shape[:-3]
-    return np.concatenate([tb.reshape(lead + (-1,)), lr.reshape(lead + (-1,))], axis=-1)
+def _frame_index(h: int, w: int, m: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (H, W) frame mask, and (slots, frame pixels): each slot's frame pixels
+    in row-major order as positions in :func:`run_benchmark`'s joined strip outputs."""
+    frame = np.ones((h, w), dtype=bool)
+    frame[m:h - m, m:w - m] = False
+    tb = np.arange(m * (slots * 2 * (w + 2 * m) - 2 * m)).reshape(m, -1)
+    lr = tb.size + np.arange(m * (slots * 2 * (h + 2 * m) - 2 * m)).reshape(m, -1).T
+    at = np.empty((h, w), dtype=np.intp)  # slot 0's; bands meeting at a corner agree bitwise
+    for b in (0, 1):
+        x, y = b * (w - m), b * (h - m)  # the band's first column and row
+        at[:, x:x + m] = lr[b * (h + 2 * m):][:h]
+        at[y:y + m] = tb[:, b * (w + 2 * m):][:, :w]
+    at = at[frame]
+    step = np.where(at < tb.size, 2 * (w + 2 * m), 2 * (h + 2 * m))  # to the next slot's band
+    return frame, at + np.arange(slots)[:, None] * step
 
 
 def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
@@ -85,62 +90,69 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
 
     Row order is fixed: orders outermost, then methods, then kernel index.
 
-    Only the m-wide output frame is evaluated. Off it, every method and the
+    Only the m-wide output frame is evaluated: off it, every method and the
     oracle run the same valid convolution over the field's own pixels, so
     the error there is exactly 0. On it, each output is the valid
     convolution of the 3m-wide edge bands of the padded field, the same
-    arithmetic per pixel as the full convolution. ``l1_error`` and ``mse``
-    sum the errors left to right in row-major order, where a zero adds
-    nothing; eps1 and eps2 are the ``running_mean`` of the frame pixels'
-    errors alone, each once and in row-major order, over H*W, so they are bitwise
-    ``l1_error`` and ``mse`` of each method's ``apply_method`` output
-    against ``oracle_convolution``.
+    arithmetic per pixel as the full convolution. Every slot's (the
+    oracle's and each method's) top and bottom bands lie side by side in one
+    C-contiguous (3m, slots*2*(W+2m)) strip, the left and right bands,
+    transposed, in a (3m, slots*2*(H+2m)) one: a kernel is one accumulation
+    per strip, and one gather takes every slot's frame pixels in row-major
+    order, dropping the 2m outputs across each seam. Per chunk of kernels
+    (``_TILE_BYTES`` of frame values, or one kernel's), eps1 and eps2 are
+    the ``running_mean`` over H*W of the frame pixels' errors; a zero adds
+    nothing to a row-major sum, so they are bitwise ``l1_error`` and ``mse``
+    of each method's ``apply_method`` output against ``oracle_convolution``.
     """
     k, h, w = config.size, config.height, config.width
     m = half_width(k)
     # One slot per distinct method; slot 0 is the oracle.
     slot = {method: s for s, method in enumerate(dict.fromkeys(config.methods), start=1)}
     kernels = random_kernels(RandomKernelSpec(size=k, count=config.filter_count, seed=config.seed))
+    frame, index = _frame_index(h, w, m, len(slot) + 1)
     scale = np.ones((h, w))
     _rescale_frame(scale, k)  # partial's factor per pixel
-    scale = _flat(*_bands(scale, m))
-    # Where in a frame vector each frame pixel first appears, in row-major
-    # order of the pixels (the bands overlap at the corners).
-    _, frame = np.unique(_flat(*_bands(np.arange(h * w).reshape(h, w), m)), return_index=True)
-    in_tb = np.empty((len(slot) + 1, 2, 3 * m, w + 2 * m))
-    # Column-major, so that the accumulation runs along the H + 2m axis.
-    in_lr = np.empty((len(slot) + 1, 2, 3 * m, h + 2 * m)).swapaxes(-1, -2)
+    scale = scale[frame]
+    tb, lr = (np.empty((3 * m, len(slot) + 1, 2, n + 2 * m)) for n in (w, h))
+
+    def put(s: int, padded: np.ndarray) -> None:  # the 3m-wide bands into slot s
+        tb[:, s, 0], tb[:, s, 1] = padded[:3 * m], padded[-3 * m:]
+        lr[:, s, 0], lr[:, s, 1] = padded[:, :3 * m].T, padded[:, -3 * m:].T
+
+    chunk = np.empty((max(1, _TILE_BYTES // (8 * index.size)), *index.shape))
     rows: list[tuple] = []
     for order in config.orders:
         fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
-        core = fld.core
-        in_tb[0], in_lr[0] = _bands(as_field(fld.data), 3 * m)
+        put(0, as_field(fld.data))
         with np.errstate(over="ignore", invalid="ignore"):
             for method, s in slot.items():
-                padded = _margin(method, core, k)
-                in_tb[s], in_lr[s] = _bands(padded, 3 * m)
+                padded = _margin(method, fld.core, k)
+                put(s, padded)
                 if method == "distribution":  # redrawn per kernel below
-                    dist, dist_stats = padded, _distribution_stats(core, k)
-        eps = []
-        for j, ker in enumerate(kernels):
+                    dist, dist_stats = padded, _distribution_stats(fld.core, k)
+        eps = np.empty((2, len(kernels), len(slot)))
+        for j0 in range(0, len(kernels), len(chunk)):
+            out = chunk[:len(kernels) - j0]
             with np.errstate(over="ignore", invalid="ignore"):
-                if "distribution" in slot:
-                    _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
-                    in_tb[slot["distribution"]], in_lr[slot["distribution"]] = _bands(dist, 3 * m)
-                out = _flat(_accumulate(in_tb, ker), _accumulate(in_lr, ker))
+                for j, ker in enumerate(kernels[j0:j0 + len(out)], start=j0):
+                    if "distribution" in slot:
+                        _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
+                        put(slot["distribution"], dist)
+                    joined = np.concatenate([_accumulate(tb.reshape(3 * m, -1), ker).ravel(),
+                                             _accumulate(lr.reshape(3 * m, -1).T, ker).T.ravel()])
+                    out[j - j0] = joined[index]
                 if "partial" in slot:
-                    out[slot["partial"]] *= scale
+                    out[:, slot["partial"]] *= scale
             if not np.isfinite(out).all():
+                bad = out[np.isfinite(out).all(axis=(1, 2)).argmin()]
                 for method, s in [*slot.items(), ("oracle", 0)]:
-                    _check_finite(out[s], method, k)
-            out = out[:, frame]
-            d = out[1:] - out[0]
-            eps.append([float(v) for err in (np.abs(d), d * d) for v in running_mean(err, h * w)])
-        n = len(slot)
+                    _check_finite(bad[s], method, k)
+            d = out[:, 1:] - out[:, :1]
+            eps[:, j0:j0 + len(out)] = running_mean(np.abs(d), h * w), running_mean(d * d, h * w)
         for method in config.methods:
-            s = slot[method] - 1
-            for j in range(config.filter_count):
-                rows.append((config.family, order, method, j, eps[j][s], eps[j][n + s]))
+            errors = enumerate(zip(*eps[..., slot[method] - 1].tolist()))
+            rows.extend((config.family, order, method, j, e1, e2) for j, (e1, e2) in errors)
     return rows
 
 

@@ -187,16 +187,17 @@ def _distribution_stats(field: np.ndarray, k: int) -> tuple[tuple[float, float],
 
 def _draw_distribution(padded: np.ndarray, m: int, stats, seed: int) -> None:
     # Overwrite the margin of ``padded`` with i.i.d. normal draws per edge.
-    # Stream: PCG64 via numpy.random.default_rng(seed), standard_normal draws
-    # in fixed order left, right, top, bottom, so margins depend only on
-    # (seed, shape, k).
+    # Stream: PCG64 via numpy.random.default_rng(seed), one standard_normal
+    # call split in fixed order left (H, m), right (H, m), top (m, W+2m),
+    # bottom (m, W+2m), so margins depend only on (seed, shape, k).
     (mu_l, sd_l), (mu_r, sd_r), (mu_t, sd_t), (mu_b, sd_b) = stats
     h, w = padded.shape[0] - 2 * m, padded.shape[1]
-    rng = np.random.default_rng(seed)
-    padded[m:m + h, :m] = mu_l + sd_l * rng.standard_normal((h, m))
-    padded[m:m + h, w - m:] = mu_r + sd_r * rng.standard_normal((h, m))
-    padded[:m] = mu_t + sd_t * rng.standard_normal((m, w))
-    padded[m + h:] = mu_b + sd_b * rng.standard_normal((m, w))
+    z = np.random.default_rng(seed).standard_normal(2 * m * (h + w))
+    sides, ends = z[:2 * h * m].reshape(2, h, m), z[2 * h * m:].reshape(2, m, w)
+    padded[m:m + h, :m] = mu_l + sd_l * sides[0]
+    padded[m:m + h, w - m:] = mu_r + sd_r * sides[1]
+    padded[:m] = mu_t + sd_t * ends[0]
+    padded[m + h:] = mu_b + sd_b * ends[1]
 
 
 def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray:

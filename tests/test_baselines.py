@@ -136,28 +136,27 @@ def test_distribution_reproducible_and_seed_sensitive():
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
 def test_distribution_stream_is_pcg64_in_fixed_order(k):
-    # pin the documented generator: PCG64(seed), standard_normal draws in the
-    # order left, right, top, bottom, from edge bands (K + 1) / 2 thick
-    field = np.random.default_rng(31).uniform(0.0, 1.0, size=(k + 3, k + 4))
+    # Pin the documented stream bit for bit: margins are mu + sd * z, with z
+    # from four PCG64(seed) standard_normal calls in the order left (H, m),
+    # right (H, m), top (m, W + 2m), bottom (m, W + 2m), and (mu, sd) from
+    # edge bands (K + 1) / 2 thick. Wide and tall fields catch a swapped
+    # split of one call into the four blocks.
     m, t = (k - 1) // 2, (k + 1) // 2
-    h, w = field.shape
-    got = pad(field, k, PaddingScheme("distribution", seed=9))
-    rng = np.random.default_rng(9)
-    bands = {
-        "left": field[:, :t],
-        "right": field[:, -t:],
-        "top": field[:t, :],
-        "bottom": field[-t:, :],
-    }
-    stats = {name: (np.mean(b), np.std(b, ddof=1)) for name, b in bands.items()}
-    left = stats["left"][0] + stats["left"][1] * rng.standard_normal((h, m))
-    right = stats["right"][0] + stats["right"][1] * rng.standard_normal((h, m))
-    top = stats["top"][0] + stats["top"][1] * rng.standard_normal((m, w + 2 * m))
-    bottom = stats["bottom"][0] + stats["bottom"][1] * rng.standard_normal((m, w + 2 * m))
-    assert np.array_equal(got[m:-m, :m], left)
-    assert np.array_equal(got[m:-m, -m:], right)
-    assert np.array_equal(got[:m, :], top)
-    assert np.array_equal(got[-m:, :], bottom)
+    for shape, seed in [((k + 3, k + 4), 9), ((k, 3 * k + 2), 10), ((2 * k + 5, k + 1), 2**63)]:
+        field = np.random.default_rng(31).uniform(0.0, 1.0, size=shape)
+        h, w = shape
+        got = pad(field, k, PaddingScheme("distribution", seed=seed))
+        rng = np.random.default_rng(seed)
+        bands = {
+            "left": (field[:, :t], got[m:-m, :m], (h, m)),
+            "right": (field[:, -t:], got[m:-m, -m:], (h, m)),
+            "top": (field[:t, :], got[:m, :], (m, w + 2 * m)),
+            "bottom": (field[-t:, :], got[-m:, :], (m, w + 2 * m)),
+        }
+        for name, (band, margin, size) in bands.items():  # in draw order
+            want = np.mean(band) + np.std(band, ddof=1) * rng.standard_normal(size)
+            assert margin.tobytes() == want.tobytes(), (name, shape)
+        assert got[m:-m, m:-m].tobytes() == field.tobytes()
 
 
 def test_distribution_corners_use_row_band_statistics():

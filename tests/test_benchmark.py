@@ -14,7 +14,7 @@ from diffconv.fields import (
     oracle_convolution,
     random_kernels,
 )
-from diffconv.metrics import l1_error, mse
+from diffconv.metrics import l1_error, mse, running_mean
 from diffconv.stencils import half_width
 
 
@@ -79,6 +79,49 @@ def test_rows_equal_full_per_cell_definition():
         assert rows_to_csv(rows) == rows_to_csv(expected), config
 
 
+def frame_bytes(config):
+    """Bytes of one kernel's frame values in ``run_benchmark``: one float per
+    frame pixel for the oracle and each distinct method."""
+    h, w, m = config.height, config.width, half_width(config.size)
+    return 8 * (len(set(config.methods)) + 1) * (h * w - (h - 2 * m) * (w - 2 * m))
+
+
+def chunks_of(monkeypatch, per_chunk, config):
+    """Bound ``run_benchmark``'s chunks to ``per_chunk`` kernels, and record
+    how many kernels each reduction sums."""
+    monkeypatch.setattr(benchmark, "_TILE_BYTES", per_chunk * frame_bytes(config))
+    sizes = []
+
+    def recording(err, count):
+        sizes.append(len(err))
+        return running_mean(err, count)
+
+    monkeypatch.setattr(benchmark, "running_mean", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2])
+def test_rows_equal_full_per_cell_definition_in_chunks(monkeypatch, per_chunk):
+    # Five kernels: chunks of one, or of two with a remainder of one. The
+    # non-square fields put the top/bottom and the left/right strips' seams
+    # at different places.
+    base = BenchmarkConfig(family="chebyshev", orders=(1, 4), height=23, width=31,
+                           size=3, filter_count=5, seed=17)
+    configs = [
+        base,
+        dataclasses.replace(base, size=9, family="spherical"),
+        dataclasses.replace(base, height=9, width=31),
+        dataclasses.replace(base, height=31, width=9, methods=("partial", "distribution", "diff")),
+    ]
+    for config in configs:
+        sizes = chunks_of(monkeypatch, per_chunk, config)
+        rows = run_benchmark(config)
+        # Two sums (eps1, eps2) per chunk.
+        chunks = [1] * 5 if per_chunk == 1 else [2, 2, 1]
+        assert sizes == [n for n in chunks for _ in range(2)] * len(config.orders), config
+        assert rows == full_per_cell_rows(config), config
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("k", [3, 5])
 def test_every_method_reports_overflow(method, k):
@@ -115,6 +158,61 @@ def test_run_benchmark_reports_any_slots_overflow(monkeypatch, method):
                              size=3, filter_count=2, seed=0, methods=methods)
     with pytest.raises(ValueError, match=rf"^{method} output is not finite for K=3:"):
         run_benchmark(config)
+
+
+# The message the per-kernel check raises for each slot at K = 3.
+GAINS = {"diff": 9, "extrapolate": 4}
+OVERFLOW_TEXT = {
+    method: f"{method} output is not finite for K=3: " + (
+        f"boundary extrapolation scales field values by up to the corner gain "
+        f"||t||_inf^2 = {GAINS[method]}; " if method in GAINS else "") + "rescale the field"
+    for method in [*METHODS, "oracle"]
+}
+
+
+@pytest.mark.parametrize("bad", [1, 2, 3])
+@pytest.mark.parametrize("method", [*METHODS, "oracle"])
+def test_run_benchmark_reports_an_overflow_inside_a_chunk(monkeypatch, method, bad):
+    # Five kernels in chunks of two; only kernel ``bad`` overflows (each of
+    # its products does), the others are zero. The values stay small enough
+    # for finite edge statistics, so ``distribution``'s margin is finite too.
+    value = np.finfo(np.float64).max / 100
+    core = 0.0 if method == "oracle" else value
+    monkeypatch.setattr(benchmark, "generate", huge_fields(core, value))
+    monkeypatch.setattr(benchmark, "random_kernels", lambda spec: [
+        np.full((spec.size, spec.size), 1e3 if j == bad else 0.0) for j in range(spec.count)])
+    methods = ("zero",) if method == "oracle" else (method,)
+    config = BenchmarkConfig(family="chebyshev", orders=(1,), height=12, width=12,
+                             size=3, filter_count=5, seed=0, methods=methods)
+    sizes = chunks_of(monkeypatch, 2, config)
+    with pytest.raises(ValueError) as raised:
+        run_benchmark(config)
+    assert str(raised.value) == OVERFLOW_TEXT[method]
+    assert sizes == [2, 2] * (bad // 2)  # the chunks before the bad kernel's
+
+
+@pytest.mark.parametrize("first", ["oracle", "zero"])
+def test_run_benchmark_reports_the_first_bad_kernel_of_a_chunk(monkeypatch, first):
+    # Kernels 2 and 3 share a chunk. A corner weight of 4 overflows only the
+    # oracle, which reads the huge analytic margin; a huge kernel also
+    # overflows ``zero``, whose slot is checked before the oracle's. The
+    # error names the slot that fails first in the earlier kernel.
+    big = np.finfo(np.float64).max / 2
+    corner = np.zeros((3, 3))
+    corner[0, 0] = 4.0
+    huge = np.full((3, 3), big)
+    kernels = {"oracle": corner, "zero": huge}
+    other = "zero" if first == "oracle" else "oracle"
+    bad = {2: kernels[first], 3: kernels[other]}
+    monkeypatch.setattr(benchmark, "generate", huge_fields(1.0, big))
+    monkeypatch.setattr(benchmark, "random_kernels", lambda spec: [
+        bad.get(j, np.zeros((3, 3))) for j in range(spec.count)])
+    config = BenchmarkConfig(family="chebyshev", orders=(1,), height=12, width=12,
+                             size=3, filter_count=5, seed=0, methods=("zero",))
+    chunks_of(monkeypatch, 2, config)
+    with pytest.raises(ValueError) as raised:
+        run_benchmark(config)
+    assert str(raised.value) == OVERFLOW_TEXT[first]
 
 
 def test_run_benchmark_checks_slots_only_when_a_cell_is_not_finite(monkeypatch):
