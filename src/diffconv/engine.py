@@ -9,13 +9,13 @@ degree K-1 through the nearest K pixels, so the whole output is computed as
 a valid convolution of the field extended that way. Only the image's own
 pixels determine the result.
 
-That makes ``diff`` one row of a margin table shared with the baselines
-(zero, reflect, replicate, circular, degree-m extrapolation, distribution
-padding, and partial convolution): every method in :data:`METHODS` fills a
-half-width margin (:func:`_margin`), runs one valid accumulation over the
-result, and ``partial`` then rescales its zero-padded frame by the inverse
-fraction of in-image pixels per window. :func:`apply_method` is the one
-validated path all of them take.
+That makes ``diff`` one row of a per-axis margin table (:func:`_axis_margin`)
+shared with the baselines: zero, reflect, replicate, circular, degree-m
+extrapolation, distribution padding and partial convolution. Every method in
+:data:`METHODS` fills a half-width margin (:func:`_margin`), runs one valid
+accumulation over the result, and ``partial`` then rescales its zero-padded
+frame by the inverse fraction of in-image pixels per window.
+:func:`apply_method` is the one validated path all of them take.
 
 All products use cross-correlation orientation (no kernel flip), and every
 output pixel is accumulated in the same fixed kernel-index order, so results
@@ -47,9 +47,6 @@ METHODS = (
 
 # The padding schemes: every method but the two that are more than a margin.
 SCHEME_TAGS = tuple(method for method in METHODS if method not in ("diff", "partial"))
-
-_NP_PAD_MODES = {"reflect": "reflect", "replicate": "edge", "circular": "wrap"}
-
 
 @dataclass(frozen=True)
 class PaddingScheme:
@@ -136,16 +133,6 @@ def conv2d_valid(field, kernel) -> np.ndarray:
     return out
 
 
-def _degree(method: str, k: int) -> int | None:
-    """The degree of the polynomial ``method`` extrapolates its margin with:
-    K-1 for ``diff``, m for ``extrapolate``, None for every other method."""
-    if method == "diff":
-        return k - 1
-    if method == "extrapolate":
-        return half_width(k)
-    return None
-
-
 @cache
 def _extrapolation_weights(degree: int, margin: int) -> np.ndarray:
     # weights[j, t-1] is the Lagrange basis l_j evaluated at -t for nodes
@@ -158,21 +145,24 @@ def _extrapolation_weights(degree: int, margin: int) -> np.ndarray:
     return weights
 
 
-def _pad_extrapolate(field: np.ndarray, k: int, degree: int) -> np.ndarray:
-    """Surround ``field`` with a half-width margin extrapolated by the
-    degree-``degree`` polynomial through the nearest degree+1 pixels, rows
-    first, then columns (so corners are the tensor-product extrapolation)."""
+def _axis_margin(method: str, n: int, k: int):
+    """(cells, weights) for the m margin cells beyond either end of an n-cell
+    axis: the cells they read, nearest margin cell first and counted from that
+    end, and ``None`` for a copy or the (cells, m) weights whose column t-1 is
+    the cell t places out. ``None`` for zero, partial and distribution. The
+    one place that maps a method to its margin cells and extrapolation degree."""
     m = half_width(k)
-    weights = _extrapolation_weights(degree, m)
-    h, w = field.shape
-    padded = np.empty((h + 2 * m, w + 2 * m), dtype=np.float64)
-    padded[m:m + h, m:m + w] = field
-    padded[m:m + h, :m] = (field[:, :degree + 1] @ weights)[:, ::-1]
-    padded[m:m + h, m + w:] = field[:, ::-1][:, :degree + 1] @ weights
-    padded[:m] = (weights.T @ padded[m:m + degree + 1])[::-1]
-    # The degree+1 rows nearest the bottom edge, bottom row first.
-    padded[m + h:] = weights.T @ padded[m + h - 1 - degree:m + h][::-1]
-    return padded
+    if method in ("diff", "extrapolate"):
+        degree = k - 1 if method == "diff" else m
+        return slice(0, degree + 1), _extrapolation_weights(degree, m)
+    t = np.arange(1, m + 1)
+    if method == "replicate":
+        return np.zeros(m, dtype=np.intp), None
+    if method == "reflect":
+        return t, None
+    if method == "circular":
+        return -t % n, None
+    return None
 
 
 def _distribution_stats(field: np.ndarray, k: int) -> tuple[tuple[float, float], ...]:
@@ -204,20 +194,26 @@ def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray
     """The validated ``field`` surrounded by the half-width margin that
     ``method`` (any of :data:`METHODS`) convolves.
 
-    This is the one place that maps a method name to its margin. ``diff``
-    and ``extrapolate`` extrapolate (see :func:`_degree`); ``partial`` and
-    ``zero`` use zeros; ``distribution`` draws per edge from ``seed``.
-    """
+    The margin starts at zero. :func:`_axis_margin` fills the left and right
+    of the field's rows, then the top and bottom across the whole width, so
+    every corner is the rows-then-columns tensor product. ``distribution``
+    draws per edge from ``seed`` instead."""
     m = half_width(k)
     _check_sizes(field, k, method)
-    degree = _degree(method, k)
-    if degree is not None:
-        return _pad_extrapolate(field, k, degree)
-    if method in _NP_PAD_MODES:
-        return np.pad(field, m, mode=_NP_PAD_MODES[method])
-    padded = np.pad(field, m)
+    h, w = field.shape
+    padded = np.zeros((h + 2 * m, w + 2 * m))
+    padded[m:m + h, m:m + w] = field
     if method == "distribution":
         _draw_distribution(padded, m, _distribution_stats(field, k), seed)
+    if (table := _axis_margin(method, w, k)) is not None:
+        cells, weights = table
+        for end, near in ((field, padded[m:m + h, m - 1::-1]),
+                          (field[:, ::-1], padded[m:m + h, m + w:])):
+            near[...] = end[:, cells] if weights is None else end[:, cells] @ weights
+        cells, weights = _axis_margin(method, h, k)
+        rows = padded[m:m + h]
+        for end, near in ((rows, padded[m - 1::-1]), (rows[::-1], padded[m + h:])):
+            near[...] = end[cells] if weights is None else weights.T @ end[cells]
     return padded
 
 
@@ -249,11 +245,10 @@ def _check_finite(out: np.ndarray, method: str, k: int) -> None:
     if np.all(np.isfinite(out)):
         return
     cause = "rescale the field"
-    degree = _degree(method, k)
-    if degree is not None:
-        gain = float(np.max(np.abs(_extrapolation_weights(degree, half_width(k))))) ** 2
+    _, weights = _axis_margin(method, 1, k) or (None, None)
+    if weights is not None:
         cause = (f"boundary extrapolation scales field values by up to the corner gain "
-                 f"||t||_inf^2 = {gain:.4g}; {cause}")
+                 f"||t||_inf^2 = {np.max(np.abs(weights)) ** 2:.4g}; {cause}")
     raise ValueError(f"{method} output is not finite for K={k}: {cause}")
 
 
@@ -312,9 +307,9 @@ def pad(field, k: int, scheme) -> np.ndarray:
     """Surround ``field`` with a margin of half-width cells filled per ``scheme``.
 
     Output shape is (H+2M) x (W+2M) with the input verbatim in the center.
-    Row (left/right) margins are filled before column (top/bottom) margins for
-    the schemes that extend the field in passes, so corners come from the
-    column pass.
+    Every scheme fills the left and right margins of the field's rows before
+    the top and bottom margins across the whole width, so corners come from
+    the top and bottom pass (``distribution`` draws them there).
 
     Raises ``ValueError`` naming the scheme and K when the margin is not
     finite: extrapolation and the distribution's edge statistics can

@@ -63,53 +63,57 @@ def save_array(path, array) -> None:
         _VERSION,
         len(header).to_bytes(2, "little"),
         header.encode("latin1"),
-        arr.tobytes(order="C"),
+        arr.reshape(-1).view(np.uint8),
     ])
 
 
 def load_array(path) -> np.ndarray:
     """Read an NPY file, accepting only v1.0 / '<f8' / C order / 2D."""
-    data = Path(path).read_bytes()
-    if len(data) < 10 or data[:6] != _MAGIC:
-        raise ArrayFileError(f"{path}: not an NPY file (bad magic)")
-    if data[6:8] != _VERSION:
-        raise ArrayFileError(
-            f"{path}: unsupported NPY version {data[6]}.{data[7]}; only 1.0 is supported"
-        )
-    header_len = int.from_bytes(data[8:10], "little")
-    header_end = 10 + header_len
-    if len(data) < header_end:
-        raise ArrayFileError(f"{path}: truncated header")
-    try:
-        header = ast.literal_eval(data[10:header_end].decode("latin1"))
-    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
-        # literal_eval raises TypeError for an unhashable key, and
-        # MemoryError or RecursionError for deeply nested input.
-        raise ArrayFileError(f"{path}: malformed header dict") from exc
-    if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
-        raise ArrayFileError(f"{path}: malformed header dict")
-    if header["descr"] != "<f8":
-        raise ArrayFileError(
-            f"{path}: dtype {header['descr']!r} is not supported; only '<f8' "
-            f"(little-endian float64)"
-        )
-    if header["fortran_order"] is not False:
-        raise ArrayFileError(f"{path}: Fortran-order arrays are not supported")
-    shape = header["shape"]
-    if (
-        not isinstance(shape, tuple)
-        or len(shape) != 2
-        or not all(type(n) is int and n >= 0 for n in shape)
-    ):
-        raise ArrayFileError(f"{path}: shape {shape!r} is not 2D (two non-negative integers)")
-    expected = 8 * shape[0] * shape[1]
-    payload = data[header_end:]
-    if len(payload) != expected:
-        raise ArrayFileError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected} for shape {shape}"
-        )
-    try:
-        return np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    except ValueError as exc:
-        # An empty payload passes the size check for any shape with a zero.
-        raise ArrayFileError(f"{path}: shape {shape!r} is too large") from exc
+    with Path(path).open("rb") as fh:
+        prefix = fh.read(10)
+        if len(prefix) < 10 or prefix[:6] != _MAGIC:
+            raise ArrayFileError(f"{path}: not an NPY file (bad magic)")
+        if prefix[6:8] != _VERSION:
+            raise ArrayFileError(
+                f"{path}: unsupported NPY version {prefix[6]}.{prefix[7]}; only 1.0 is supported"
+            )
+        header_len = int.from_bytes(prefix[8:10], "little")
+        text = fh.read(header_len)
+        if len(text) < header_len:
+            raise ArrayFileError(f"{path}: truncated header")
+        try:
+            header = ast.literal_eval(text.decode("latin1"))
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
+            # literal_eval raises TypeError for an unhashable key, and
+            # MemoryError or RecursionError for deeply nested input.
+            raise ArrayFileError(f"{path}: malformed header dict") from exc
+        if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
+            raise ArrayFileError(f"{path}: malformed header dict")
+        if header["descr"] != "<f8":
+            raise ArrayFileError(
+                f"{path}: dtype {header['descr']!r} is not supported; only '<f8' "
+                f"(little-endian float64)"
+            )
+        if header["fortran_order"] is not False:
+            raise ArrayFileError(f"{path}: Fortran-order arrays are not supported")
+        shape = header["shape"]
+        if (
+            not isinstance(shape, tuple)
+            or len(shape) != 2
+            or not all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise ArrayFileError(f"{path}: shape {shape!r} is not 2D (two non-negative integers)")
+        expected = 8 * shape[0] * shape[1]
+        payload = os.fstat(fh.fileno()).st_size - 10 - header_len
+        if payload != expected:
+            raise ArrayFileError(
+                f"{path}: payload is {payload} bytes, expected {expected} for shape {shape}"
+            )
+        try:
+            arr = np.empty(shape, dtype="<f8")
+        except ValueError as exc:
+            # An empty payload passes the size check for any shape with a zero.
+            raise ArrayFileError(f"{path}: shape {shape!r} is too large") from exc
+        if fh.readinto(arr) != expected:
+            raise ArrayFileError(f"{path}: payload shrank below {expected} bytes while read")
+    return arr

@@ -8,6 +8,11 @@ from diffconv.engine import _extrapolation_weights
 from diffconv.stencils import half_width
 
 
+# The margins that copy field cells (and zero's), as numpy's own padding
+# modes: the reference the engine's margin table is checked against.
+NP_PAD_MODES = {"zero": "constant", "reflect": "reflect", "replicate": "edge", "circular": "wrap"}
+
+
 def brute_force_valid(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Reference valid convolution: explicit quadruple loop, no flip."""
     h, w = field.shape
@@ -68,7 +73,8 @@ def reference_accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def reference_pad_extrapolate(field: np.ndarray, k: int, degree: int) -> np.ndarray:
-    """Reference for ``engine._pad_extrapolate``: left and right margins
+    """Reference for the margin ``engine._margin`` extrapolates for ``diff``
+    (degree K-1) and ``extrapolate`` (degree m): left and right margins
     joined by ``hstack``, then top and bottom by ``vstack``."""
     weights = _extrapolation_weights(degree, half_width(k))
     left = (field[:, :degree + 1] @ weights)[:, ::-1]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import NP_PAD_MODES
 
 from diffconv.engine import (
     SCHEME_TAGS,
@@ -63,6 +64,27 @@ def test_pad_preconditions():
     # zero/replicate/circular accept any non-empty field
     for tag in ("zero", "replicate", "circular"):
         assert pad(small, 3, tag).shape == (4, 4)
+
+
+@pytest.mark.parametrize("tag,shapes", [
+    ("zero", [(1, 1), (1, 5), (2, 2), (3, 7)]),
+    ("replicate", [(1, 1), (1, 5), (2, 2), (3, 7)]),
+    ("circular", [(1, 1), (1, 5), (2, 2), (3, 7)]),  # at 2x2 the margin wraps twice
+    ("reflect", [(9, 9), (9, 20)]),  # reflect reads m cells past the edge
+])
+def test_copied_margins_match_np_pad_bitwise(tag, shapes):
+    # K = 9: a margin of 4 cells, wider than most of these fields. Every
+    # other edge cell holds -0.0, which a copy keeps and a weighted sum (a
+    # one-hot matrix product, say) turns into 0.0 by adding its zero-weighted
+    # terms; the other cells are distinct, so a wrong cell shows too.
+    rng = np.random.default_rng(9)
+    for shape in shapes:
+        field = rng.uniform(1.0, 2.0, size=shape)
+        field[0, ::2], field[-1, 1::2], field[::2, 0], field[1::2, -1] = -0.0, -0.0, -0.0, -0.0
+        want = np.pad(field, 4, mode=NP_PAD_MODES[tag])
+        got = pad(field, 9, tag)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tag", ["extrapolate", "distribution"])

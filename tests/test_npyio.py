@@ -165,6 +165,26 @@ def test_reader_rejects_bool_shape_entries(tmp_path):
         load_array(path)
 
 
+def test_reader_checks_payload_size_before_allocating(tmp_path):
+    # A header claiming 8 TiB over a 16-byte payload is refused by its size.
+    path = tmp_path / "h.npy"
+    _npy_file(path, f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({2**20}, {2**20}), }}",
+              b"\x00" * 16)
+    with pytest.raises(ArrayFileError, match=f"payload is 16 bytes, expected {8 * 2**40}"):
+        load_array(path)
+
+
+def test_reader_rejects_payload_shorter_than_its_size_check(tmp_path, monkeypatch):
+    # A file that shrinks between the size check and the read: the check
+    # sees 8 bytes more than the read gets.
+    path = tmp_path / "s.npy"
+    _npy_file(path, "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), }", b"\x00" * 24)
+    size = path.stat().st_size + 8
+    monkeypatch.setattr(npyio.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    with pytest.raises(ArrayFileError, match="payload shrank below 32 bytes"):
+        load_array(path)
+
+
 def test_reader_rejects_empty_shape_beyond_numpy_limits(tmp_path):
     path = tmp_path / "z.npy"
     _npy_file(path, f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({2**70}, 0), }}")

@@ -6,14 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import partial_scale, reference_accumulate, reference_pad_extrapolate
+from conftest import (
+    NP_PAD_MODES,
+    partial_scale,
+    reference_accumulate,
+    reference_pad_extrapolate,
+)
 
 from diffconv import engine
 from diffconv.engine import (
     METHODS,
     PaddingScheme,
     _accumulate,
-    _pad_extrapolate,
+    _margin,
     apply_method,
     conv2d_diff,
     conv2d_valid,
@@ -25,7 +30,8 @@ from diffconv.stencils import half_width
 
 def reference_method(method: str, field: np.ndarray, kernel: np.ndarray, seed: int) -> np.ndarray:
     """``apply_method`` through the untiled accumulation, the stacked
-    extrapolation padding and partial's full-size scale map."""
+    extrapolation padding, ``np.pad`` for the copied margins and partial's
+    full-size scale map. Only ``distribution`` takes its margin from ``pad``."""
     k = kernel.shape[0]
     m = half_width(k)
     if method == "partial":
@@ -35,6 +41,8 @@ def reference_method(method: str, field: np.ndarray, kernel: np.ndarray, seed: i
         padded = reference_pad_extrapolate(field, k, k - 1)
     elif method == "extrapolate":
         padded = reference_pad_extrapolate(field, k, m)
+    elif method in NP_PAD_MODES:
+        padded = np.pad(field, m, mode=NP_PAD_MODES[method])
     else:
         padded = pad(field, k, PaddingScheme(method, seed))
     return reference_accumulate(padded, kernel)
@@ -63,8 +71,8 @@ def test_every_method_matches_untiled_reference(monkeypatch, k, tile_rows):
     for shape in [(k, k), (k, 2 * k + 3), (2 * k + 4, k), (2 * k + 5, 3 * k + 2)]:
         field, kernel = field_and_kernel(shape, k, seed=10 * k + shape[1])
         monkeypatch.setattr(engine, "_TILE_BYTES", tile_rows * 8 * shape[1])
-        for degree in (m, k - 1):
-            assert_bitwise_equal(_pad_extrapolate(field, k, degree),
+        for method, degree in (("extrapolate", m), ("diff", k - 1)):
+            assert_bitwise_equal(_margin(method, field, k),
                                  reference_pad_extrapolate(field, k, degree))
         for method in METHODS:
             assert_bitwise_equal(apply_method(method, field, kernel, seed=k),
