@@ -34,13 +34,14 @@ from .metrics import l1_error, mse
 from .npyio import ArrayFileError, load_array, save_array
 from .stencils import (
     SUPPORTED_SIZES,
+    as_kernel,
+    build_bank,
     center_condition_number,
-    derivative_stencil,
     half_width,
     invert_center_matrix,
+    kernel_from_operator,
     stencil_matrix,
 )
-from .transform import as_kernel, build_bank, kernel_from_operator
 
 __version__ = "0.1.0"
 
@@ -63,7 +64,6 @@ __all__ = [
     "chebyshev_U",
     "conv2d_diff",
     "conv2d_valid",
-    "derivative_stencil",
     "derive_seed",
     "generate",
     "half_width",

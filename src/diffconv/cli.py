@@ -24,16 +24,16 @@ from .engine import METHODS, apply_method
 from .fields import FAMILIES, FieldSpec, generate
 from .npyio import load_array, save_array, write_atomic
 from .stencils import (
+    build_bank,
     center_condition_number,
-    derivative_stencil,
     half_width,
     invert_center_matrix,
+    kernel_from_operator,
     kron,
     matrix_payload,
     shift_matrix,
     stencil_matrix,
 )
-from .transform import build_bank, kernel_from_operator
 
 
 @click.group()
@@ -79,15 +79,17 @@ def kernels(size, pos, exact, output):
     try:
         m = half_width(size)
         r, s = (m, m) if pos is None else _parse_position(pos)
+        matrix = stencil_matrix(size, r, s)
         payload = {
             "size": size,
             "position": [r, s],
+            # Column oy*K+ox of the stencil matrix is that order's stencil, row-major.
             "derivative_stencils": {
-                f"{oy},{ox}": matrix_payload(derivative_stencil(size, oy, ox, r, s), exact)
-                for oy in range(size)
-                for ox in range(size)
+                f"{col // size},{col % size}": matrix_payload(
+                    [column[i * size:(i + 1) * size] for i in range(size)], exact)
+                for col, column in enumerate(zip(*matrix))
             },
-            "stencil_matrix": matrix_payload(stencil_matrix(size, r, s), exact),
+            "stencil_matrix": matrix_payload(matrix, exact),
             "center_inverse": matrix_payload(invert_center_matrix(size), exact),
             # The transform D(r, s) D(center)^-1 is kron(t_r, t_s) exactly.
             "transform": matrix_payload(kron(shift_matrix(size, r), shift_matrix(size, s)), exact),
@@ -112,6 +114,8 @@ def _parse_indexed_values(text: str, k: int, what: str) -> dict[tuple[int, int],
         a, b = int(key[0]), int(key[1])
         if a >= k or b >= k:
             raise click.UsageError(f"{what} index ({a}, {b}) out of range for size {k}")
+        if (a, b) in table:
+            raise click.UsageError(f"{what} index {key} given more than once")
         try:
             table[(a, b)] = float(value)
         except ValueError:

@@ -25,14 +25,12 @@ are bitwise reproducible and every method's interior agrees bitwise with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .stencils import half_width, lagrange_values
-from .transform import as_kernel
+from .stencils import as_kernel, half_width, lagrange_values
 
 METHODS = (
     "diff",
@@ -82,39 +80,37 @@ def _check_sizes(field: np.ndarray, k: int, method: str) -> None:
         raise ValueError(f"{method} got a field of shape {h}x{w}; it needs at least {what}")
 
 
-# Rows per tile are chosen so that one output tile, leading batch axes
-# included, is about this many bytes: the tile, its scratch product and the
-# input rows they read then stay in cache across the K^2 passes.
+# Rows per tile are chosen so that one output tile is about this many bytes:
+# the tile, its scratch product and the input rows they read then stay in
+# cache across the K^2 passes.
 _TILE_BYTES = 256 * 1024
 
 
 def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Valid product-sum over the last two axes (leading axes are a batch),
-    # accumulated in fixed (i, j) order, so the per-pixel arithmetic path is
-    # identical wherever the same window appears. Row tiles change only which
-    # pixels are in flight at once, not any pixel's sequence of operations:
-    # each starts from 0.0 and adds the rounded products in (i, j) order.
-    # When the last two axes are stored column-major, the work runs on their
-    # transposed view, so every pass reads and writes along the contiguous
-    # axis, and the output is returned with the input's layout.
+    # Valid product-sum of a 2-D array, accumulated in fixed (i, j) order, so
+    # the per-pixel arithmetic path is identical wherever the same window
+    # appears. Row tiles change only which pixels are in flight at once, not
+    # any pixel's sequence of operations: each starts from 0.0 and adds the
+    # rounded products in (i, j) order. When the array is stored column-major,
+    # the work runs on its transposed view, so every pass reads and writes
+    # along the contiguous axis, and the output is returned with the input's
+    # layout.
     k = kernel.shape[0]
-    flip = abs(field.strides[-1]) > abs(field.strides[-2])
-    src = field.swapaxes(-1, -2) if flip else field
-    lead = src.shape[:-2]
-    ny, nx = src.shape[-2] - k + 1, src.shape[-1] - k + 1
-    out = np.zeros(lead + (ny, nx), dtype=np.float64)
-    rows = max(1, _TILE_BYTES // (8 * nx * math.prod(lead)))
-    scratch = np.empty(lead + (min(rows, ny), nx), dtype=np.float64)
+    flip = abs(field.strides[1]) > abs(field.strides[0])
+    src = field.T if flip else field
+    ny, nx = src.shape[0] - k + 1, src.shape[1] - k + 1
+    out = np.zeros((ny, nx), dtype=np.float64)
+    rows = max(1, _TILE_BYTES // (8 * nx))
+    scratch = np.empty((min(rows, ny), nx), dtype=np.float64)
     # Per tap in (i, j) order: its row and column offset in ``src``, and its weight.
     taps = [((j, i) if flip else (i, j), kernel[i, j]) for i in range(k) for j in range(k)]
     for y0 in range(0, ny, rows):
         y1 = min(y0 + rows, ny)
-        tile = out[..., y0:y1, :]
-        tmp = scratch[..., :y1 - y0, :]
+        tile, tmp = out[y0:y1], scratch[:y1 - y0]
         for (a, b), weight in taps:
-            np.multiply(src[..., y0 + a:y1 + a, b:b + nx], weight, tmp)
+            np.multiply(src[y0 + a:y1 + a, b:b + nx], weight, tmp)
             tile += tmp
-    return out.swapaxes(-1, -2) if flip else out
+    return out.T if flip else out
 
 
 def conv2d_valid(field, kernel) -> np.ndarray:
@@ -283,7 +279,7 @@ def conv2d_diff(field, kernel, bank=None) -> np.ndarray:
     extrapolation, which equals applying the bank kernel for each boundary
     pixel's in-window position to its nearest complete window. Interior
     output equals :func:`conv2d_valid` bitwise. ``bank`` (as from
-    :func:`diffconv.transform.build_bank`) is accepted for compatibility and
+    :func:`diffconv.stencils.build_bank`) is accepted for compatibility and
     only checked against the kernel size.
 
     Raises ``ValueError`` when the output is not finite: the extrapolation

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import conv2d_valid
-from .stencils import half_width
-from .transform import as_kernel
+from .stencils import as_kernel, half_width
 
 FAMILIES = ("chebyshev", "spherical", "polynomial")
 
@@ -129,6 +128,8 @@ class FieldSpec:
             arr = np.asarray(self.coeffs, dtype=np.float64)
             if arr.ndim != 2:
                 raise ValueError("polynomial coefficients must be a 2D table")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("polynomial coefficients must be finite")
             object.__setattr__(self, "coeffs", arr)
         elif self.order < 1:
             raise ValueError(

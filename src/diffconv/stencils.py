@@ -1,8 +1,8 @@
-"""Exact derivative stencils for Lagrange interpolation on a uniform pixel grid.
+"""Lagrange interpolation on a uniform pixel grid: exact derivative stencils
+and the floated kernel transforms built from them.
 
-Everything here is computed with `fractions.Fraction`, so every table is
-exact for any supported kernel size. Floating point enters only through
-:func:`mat_to_floats`.
+The tables are computed with `fractions.Fraction`, so each is exact for any
+supported kernel size. Floating point enters only through :func:`mat_to_floats`.
 
 A derivative stencil is the K x K array of weights that, product-summed with a
 K x K window of pixel values, yields a mixed derivative of the window's
@@ -11,12 +11,20 @@ from K x K one-axis factors: the derivative matrix D_at[i][o] = l_i^(o)(at),
 the Taylor matrix B = D_m^-1 and the Lagrange shift matrix t_r. The stencil
 matrix at (y, x) is kron(D_y, D_x), the center inverse is kron(B, B), and the
 transform of a kernel to in-window position (r, s) is kron(t_r, t_s).
+
+A convolution kernel is equivalent to a linear differential operator acting on
+the window interpolant at the window center. Re-evaluating that operator at
+another in-window position (r, s) gives a transformed kernel that acts on the
+nearest complete window instead: t_r W t_s^T for the K x K kernel W. Only the
+K shift matrices are kept, as float64, per kernel size. A kernel's bank of all
+K^2 variants is a plain read-only array; ``diffconv dump-bank`` writes it as
+JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -43,10 +51,6 @@ def _check_index(name: str, value: int, k: int) -> int:
     return int(value)
 
 
-# typed=True keeps (3, True) or (3.0, 1) from hitting the entry cached for
-# (3, 1) and so skipping the validation. Entries are immutable, so a
-# concurrent first call can at most compute an equal value twice.
-@lru_cache(maxsize=None, typed=True)
 def derivative_matrix(k: int, at: int) -> FractionMatrix:
     """Exact K x K derivative matrix D[i][o] = l_i^(o)(at): the ``o``-th
     derivative of the ``i``-th Lagrange basis polynomial (unit-spaced nodes
@@ -119,20 +123,6 @@ def shift_matrix(k: int, r: int) -> FractionMatrix:
     return tuple(zip(*columns))
 
 
-def derivative_stencil(k: int, order_y: int, order_x: int, y: int, x: int) -> FractionMatrix:
-    """Exact K x K stencil for derivative order (order_y, order_x) at pixel
-    (y, x): entry [i][j] is the weight of window pixel (i, j), the outer
-    product of column ``order_y`` of D_y and column ``order_x`` of D_x."""
-    half_width(k)
-    order_y = _check_index("order_y", order_y, k)
-    order_x = _check_index("order_x", order_x, k)
-    y = _check_index("y", y, k)
-    x = _check_index("x", x, k)
-    col_y = [row[order_y] for row in derivative_matrix(k, y)]
-    col_x = [row[order_x] for row in derivative_matrix(k, x)]
-    return tuple(tuple(a * b for b in col_x) for a in col_y)
-
-
 def stencil_matrix(k: int, y: int, x: int) -> FractionMatrix:
     """All K^2 derivative stencils at (y, x) as one K^2 x K^2 matrix,
     kron(D_y, D_x): row i*K+j is the window pixel, column order_y*K+order_x
@@ -179,3 +169,58 @@ def matrix_payload(entries: FractionMatrix, exact: bool):
     if exact:
         return [[f"{v.numerator}/{v.denominator}" for v in row] for row in entries]
     return [[float(v) for v in row] for row in entries]
+
+
+def as_kernel(kernel) -> np.ndarray:
+    """Validate and return a kernel as a float64 K x K array (K odd, supported)."""
+    arr = np.asarray(kernel, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"kernel must be a square 2D array, got shape {arr.shape}")
+    half_width(arr.shape[0])
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("kernel entries must be finite")
+    return arr
+
+
+@cache
+def _shift_factors(k: int) -> np.ndarray:
+    """The K shift matrices t_0..t_{K-1} as float64, shape (K, K, K). Their
+    entries are integers, so the floats are exact."""
+    half_width(k)
+    factors = np.stack([mat_to_floats(shift_matrix(k, r)) for r in range(k)])
+    factors.setflags(write=False)
+    return factors
+
+
+def kernel_from_operator(coeffs) -> np.ndarray:
+    """Kernel whose window action equals the given operator coefficients."""
+    alpha = np.asarray(coeffs, dtype=np.float64)
+    if alpha.ndim != 1:
+        raise ValueError(f"coefficients must be a 1D vector, got shape {alpha.shape}")
+    k = int(round(np.sqrt(alpha.size)))
+    if k * k != alpha.size:
+        raise ValueError(f"coefficient vector length {alpha.size} is not a square")
+    m = half_width(k)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("coefficients must be finite")
+    return (mat_to_floats(stencil_matrix(k, m, m)) @ alpha).reshape(k, k)
+
+
+def build_bank(kernel) -> np.ndarray:
+    """All K^2 transformed variants of one kernel, as a read-only (K^2, K, K)
+    array.
+
+    Entry r*K+s is t_r W t_s^T, the kernel to apply over a complete window
+    when the target pixel sits at in-window position (r, s); the center
+    entry is the original kernel verbatim.
+    """
+    arr = as_kernel(kernel)
+    k = arr.shape[0]
+    m = half_width(k)
+    factors = _shift_factors(k)
+    # kernels[r, s] = (t_r @ W) @ t_s.T, broadcast over r and s.
+    kernels = np.matmul((factors @ arr)[:, None], factors.transpose(0, 2, 1)[None])
+    kernels = kernels.reshape(k * k, k, k)
+    kernels[m * k + m] = arr
+    kernels.setflags(write=False)
+    return kernels

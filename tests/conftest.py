@@ -1,11 +1,12 @@
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import numpy as np
 import pytest
 
 from diffconv.engine import _extrapolation_weights
-from diffconv.stencils import half_width
+from diffconv.stencils import half_width, stencil_matrix
 
 
 # The margins that copy field cells (and zero's), as numpy's own padding
@@ -40,6 +41,19 @@ def identity_kernel(k: int) -> np.ndarray:
     return kernel
 
 
+# One exact stencil matrix per (k, y, x): the tests slice many stencils from it.
+_stencil_matrix = cache(stencil_matrix)
+
+
+def derivative_stencil(k: int, order_y: int, order_x: int, y: int, x: int):
+    """Reference K x K stencil for derivative order (order_y, order_x) at
+    pixel (y, x): column order_y*K+order_x of ``stencil_matrix(k, y, x)``,
+    cut into K rows."""
+    col = order_y * k + order_x
+    column = [row[col] for row in _stencil_matrix(k, y, x)]
+    return tuple(tuple(column[i * k:(i + 1) * k]) for i in range(k))
+
+
 def mat_identity(n: int):
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
@@ -64,11 +78,11 @@ def reference_accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Reference for ``engine._accumulate``: the untiled valid product-sum,
     one full-size product per (i, j), added in (i, j) order to a zero array."""
     k = kernel.shape[0]
-    ny, nx = field.shape[-2] - k + 1, field.shape[-1] - k + 1
-    out = np.zeros(field.shape[:-2] + (ny, nx), dtype=np.float64)
+    ny, nx = field.shape[0] - k + 1, field.shape[1] - k + 1
+    out = np.zeros((ny, nx), dtype=np.float64)
     for i in range(k):
         for j in range(k):
-            out += kernel[i, j] * field[..., i:i + ny, j:j + nx]
+            out += kernel[i, j] * field[i:i + ny, j:j + nx]
     return out
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import identity_kernel, mat_identity, mat_mul
+from conftest import derivative_stencil, identity_kernel, mat_identity, mat_mul
 from numpy.polynomial import Chebyshev
 
 from diffconv.benchmark import BenchmarkConfig, run_benchmark
@@ -22,13 +22,12 @@ from diffconv.fields import (
 )
 from diffconv.npyio import load_array, save_array
 from diffconv.stencils import (
-    derivative_stencil,
+    build_bank,
     half_width,
     invert_center_matrix,
     mat_to_floats,
     stencil_matrix,
 )
-from diffconv.transform import build_bank
 
 F = Fraction
 

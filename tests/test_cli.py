@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import derivative_stencil
 
 from diffconv import npyio
 from diffconv.cli import main
 from diffconv.engine import METHODS, apply_method
 from diffconv.npyio import load_array, save_array
+from diffconv.stencils import matrix_payload
 
 
 @pytest.fixture
@@ -26,6 +28,18 @@ def test_kernels_exact_corner_matrix(runner):
     ]
     assert payload["derivative_stencils"]["0,0"][0][0] == "1/1"
     assert payload["center_condition_1norm"] == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_kernels_derivative_stencils_are_matrix_columns(runner, exact):
+    result = runner.invoke(main, ["kernels", "--size", "5", "--pos", "0,3"]
+                           + ["--exact"] * exact)
+    assert result.exit_code == 0
+    stencils = json.loads(result.output)["derivative_stencils"]
+    assert list(stencils) == [f"{oy},{ox}" for oy in range(5) for ox in range(5)]
+    for key, payload in stencils.items():
+        oy, ox = map(int, key.split(","))
+        assert payload == matrix_payload(derivative_stencil(5, oy, ox, 0, 3), exact)
 
 
 def test_kernels_center_transform_is_identity(runner):
@@ -90,6 +104,16 @@ def test_make_kernel_rejects_bad_op(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_make_kernel_rejects_repeated_index(runner, tmp_path):
+    # The second 20 entry used to overwrite the first.
+    out = tmp_path / "x.npy"
+    result = runner.invoke(main, ["make-kernel", "--size", "3", "--op", "20:1,20:5",
+                                  "--output", str(out)])
+    assert result.exit_code == 2
+    assert "operator index 20 given more than once" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size", ["4", "-3", "100000"])
 def test_make_kernel_rejects_bad_size(runner, tmp_path, size):
     # The size is checked before it sizes a K^2 coefficient vector.
@@ -111,6 +135,20 @@ def test_gen_polynomial(runner, tmp_path):
     assert np.array_equal(
         load_array(out), np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
     )
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    ("00:1,00:2", "coefficient index 00 given more than once"),
+    ("00:nan,11:1", "polynomial coefficients must be finite"),
+    ("00:inf", "polynomial coefficients must be finite"),
+])
+def test_gen_rejects_bad_coefficients(runner, tmp_path, coeffs, message):
+    out = tmp_path / "poly.npy"
+    result = runner.invoke(main, ["gen", "--family", "polynomial", "--coeffs", coeffs,
+                                  "--height", "4", "--width", "4", "--output", str(out)])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert not out.exists()
 
 
 def test_gen_chebyshev_with_margin(runner, tmp_path):

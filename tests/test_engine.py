@@ -6,7 +6,7 @@ from conftest import identity_kernel
 
 from diffconv.engine import METHODS, apply_method, conv2d_diff, conv2d_valid
 from diffconv.fields import FieldSpec, generate, oracle_convolution
-from diffconv.transform import build_bank
+from diffconv.stencils import build_bank
 
 EPS = np.finfo(float).eps
 

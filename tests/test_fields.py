@@ -107,6 +107,12 @@ def test_field_spec_validation():
         FieldSpec(family="gaussian", height=3, width=3, order=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_spec_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="^polynomial coefficients must be finite"):
+        FieldSpec(family="polynomial", height=4, width=4, coeffs=[[bad, 0.0], [0.0, 1.0]])
+
+
 def test_random_kernels_deterministic_and_bounded():
     spec = RandomKernelSpec(size=3, count=100, seed=77)
     a = random_kernels(spec)

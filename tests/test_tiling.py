@@ -1,7 +1,6 @@
 """Row-tiled accumulation against the untiled references, and the full-size
 arrays each size-keeping call allocates."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -86,20 +85,21 @@ def test_every_method_matches_untiled_reference(monkeypatch, k, tile_rows):
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
 def test_band_stacks_match_untiled_reference(monkeypatch, k):
-    # The stacks run_benchmark accumulates: per slot, the top and bottom
-    # bands as (2, 3m, W + 2m) and the left and right ones as (2, H + 2m, 3m).
+    # run_benchmark stores its top and bottom bands as one C-contiguous
+    # (3m, slots*2*(W + 2m)) strip, every slot's two bands end to end along
+    # the long axis; its outputs across the seams between bands are dropped.
     m = half_width(k)
     rng = np.random.default_rng(k)
     kernel = rng.uniform(-1.0, 1.0, size=(k, k))
-    stacks = [rng.standard_normal((3, 2, 3 * m, 17 + 2 * m)),
-              rng.standard_normal((3, 2, 15 + 2 * m, 3 * m))]
-    for stack in stacks:
-        want = reference_accumulate(stack, kernel)
-        assert_bitwise_equal(_accumulate(stack, kernel), want)  # one tile
-        batch_row_bytes = 8 * want.shape[-1] * 6
-        for tile_bytes in (1, 2 * batch_row_bytes, 2 * batch_row_bytes + 8):
-            monkeypatch.setattr(engine, "_TILE_BYTES", tile_bytes)
-            assert_bitwise_equal(_accumulate(stack, kernel), want)
+    strip = rng.standard_normal((3 * m, 3 * 2 * (17 + 2 * m)))
+    want = reference_accumulate(strip, kernel)
+    got = _accumulate(strip, kernel)  # one tile
+    assert_bitwise_equal(got, want)
+    assert got.flags.c_contiguous
+    row_bytes = 8 * want.shape[1]
+    for tile_bytes in (1, 2 * row_bytes, 2 * row_bytes + 8):
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_bytes)
+        assert_bitwise_equal(_accumulate(strip, kernel), want)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
@@ -107,27 +107,24 @@ def test_column_major_band_stacks_match_untiled_reference(monkeypatch, k):
     # run_benchmark stores its left and right bands as one transposed strip:
     # the (slots*2*(H + 2m), 3m) view of a C-ordered (3m, slots*2*(H + 2m))
     # array, every slot's two bands end to end along the long axis, whose
-    # outputs across the seams between bands are dropped. A batch of such
-    # views, (..., H + 2m, 3m), takes the same path. The output keeps the
-    # input's layout, and each tile holds whole output columns.
+    # outputs across the seams between bands are dropped. The output keeps
+    # the input's layout, and each tile holds whole output columns.
     m = half_width(k)
     rng = np.random.default_rng(100 + k)
     kernel = rng.uniform(-1.0, 1.0, size=(k, k))
-    for shape in [(3 * m, 6 * (15 + 2 * m)), (3, 2, 3 * m, 15 + 2 * m)]:
-        stack = np.empty(shape).swapaxes(-1, -2)
-        stack[...] = rng.standard_normal(stack.shape)
-        stack[..., :15, 0] = 0.0  # signed-zero products, as in field_and_kernel
-        want = reference_accumulate(np.ascontiguousarray(stack), kernel)
-        monkeypatch.undo()  # the default tile size
-        got = _accumulate(stack, kernel)  # one tile
-        assert_bitwise_equal(got, want)
-        assert got.strides[-2] < got.strides[-1]
-        batch_column_bytes = 8 * want.shape[-2] * math.prod(want.shape[:-2])
-        for tile_columns in (1, 2):
-            monkeypatch.setattr(engine, "_TILE_BYTES", tile_columns * batch_column_bytes)
-            assert_bitwise_equal(_accumulate(stack, kernel), want)
-        # A C-contiguous input still gives a C-contiguous output.
-        assert _accumulate(np.ascontiguousarray(stack), kernel).flags.c_contiguous
+    strip = np.empty((3 * m, 3 * 2 * (15 + 2 * m))).T
+    strip[...] = rng.standard_normal(strip.shape)
+    strip[:15, 0] = 0.0  # signed-zero products, as in field_and_kernel
+    want = reference_accumulate(np.ascontiguousarray(strip), kernel)
+    got = _accumulate(strip, kernel)  # one tile
+    assert_bitwise_equal(got, want)
+    assert got.strides[0] < got.strides[1]
+    column_bytes = 8 * want.shape[0]
+    for tile_columns in (1, 2):
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_columns * column_bytes)
+        assert_bitwise_equal(_accumulate(strip, kernel), want)
+    # A C-contiguous input still gives a C-contiguous output.
+    assert _accumulate(np.ascontiguousarray(strip), kernel).flags.c_contiguous
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])

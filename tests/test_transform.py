@@ -4,21 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from conftest import identity_kernel, mat_identity, mat_mul
+from conftest import derivative_stencil, identity_kernel, mat_identity, mat_mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffconv.cli import main
 from diffconv.npyio import save_array
 from diffconv.stencils import (
-    derivative_stencil,
+    as_kernel,
+    build_bank,
     half_width,
     invert_center_matrix,
+    kernel_from_operator,
     mat_to_floats,
     shift_matrix,
     stencil_matrix,
 )
-from diffconv.transform import as_kernel, build_bank, kernel_from_operator
 
 LAPLACE_3 = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
