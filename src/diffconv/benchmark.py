@@ -22,7 +22,6 @@ from .engine import (
     _draw_distribution,
     _margin,
     _rescale_frame,
-    as_field,
 )
 from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
 from .metrics import running_mean
@@ -124,7 +123,7 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     rows: list[tuple] = []
     for order in config.orders:
         fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
-        put(0, as_field(fld.data))
+        put(0, fld.data)
         with np.errstate(over="ignore", invalid="ignore"):
             for method, s in slot.items():
                 padded = _margin(method, fld.core, k)

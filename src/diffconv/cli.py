@@ -160,9 +160,7 @@ def make_kernel(size, op_text, output):
 def gen(family, order, coeffs, height, width, margin, output):
     """Sample an analytic field to an NPY file."""
     coeff_table = None
-    if family == "polynomial":
-        if coeffs is None:
-            raise click.UsageError("polynomial family requires --coeffs")
+    if coeffs is not None:
         entries = _parse_indexed_values(coeffs, 10, "coefficient")
         max_a = max(a for a, _ in entries)
         max_b = max(b for _, b in entries)
@@ -176,8 +174,12 @@ def gen(family, order, coeffs, height, width, margin, output):
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    try:
+        data = generate(spec).data
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     with _writing(output):
-        save_array(output, generate(spec).data)
+        save_array(output, data)
 
 
 @main.command("filter")
@@ -240,7 +242,10 @@ def compare(family, orders, height, width, size, filter_count, seed, methods, ou
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    rows = run_benchmark(config)
+    try:
+        rows = run_benchmark(config)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     _emit(rows_to_csv(rows), output)
 
 

@@ -36,47 +36,31 @@ def chebyshev_U(n: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def _legendre_assoc(l: int, m: int, x):
-    # Associated Legendre P_l^m without the Condon-Shortley factor, via the
-    # standard upward recurrence in degree (stable for the moderate l used
-    # here).
-    x = np.asarray(x, dtype=np.float64)
-    pmm = np.ones_like(x)
-    if m > 0:
-        somx2 = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
-        fact = 1.0
-        for _ in range(m):
-            pmm = pmm * fact * somx2
-            fact += 2.0
-    if l == m:
-        return pmm
-    pmmp1 = x * (2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return pmmp1
-    for ll in range(m + 2, l + 1):
-        pmm, pmmp1 = pmmp1, (x * (2.0 * ll - 1.0) * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
-    return pmmp1
-
-
 def spherical_Y(l: int, m: int, theta, phi):
     """Real orthonormal spherical harmonic of degree ``l`` and order ``m``.
 
     Cosine convention: sqrt(2) * N_lm * P_l^m(cos theta) * cos(m phi) for
-    m > 0 and N_l0 * P_l(cos theta) for m = 0, with orthonormalizing N_lm.
+    m > 0 and N_l0 * P_l(cos theta) for m = 0, with orthonormalizing N_lm and
+    no Condon-Shortley factor. N_lm P_l^m comes straight from the normalised
+    three-term recurrence in degree of Holmes and Featherstone (J. Geodesy
+    76, 2002): no factorial is formed, so nothing overflows.
     """
     if l < 0 or m < 0:
         raise ValueError(f"degree and order must be >= 0, got l={l}, m={m}")
     if m > l:
         raise ValueError(f"order {m} exceeds degree {l}")
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m))
-    p = _legendre_assoc(l, m, np.cos(theta))
-    if m == 0:
-        out = norm * p
-    else:
-        out = math.sqrt(2.0) * norm * p * np.cos(m * phi)
-    return out if out.ndim else float(out)
+    x = np.cos(np.asarray(theta, dtype=np.float64))
+    sin_theta = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
+    # N_mm P_m^m = sqrt((2m+1)/(4 pi) * prod_{i<=m} (2i-1)/(2i)) * sin^m(theta).
+    ratio = math.prod((2 * i - 1) / (2 * i) for i in range(1, m + 1))
+    prev, p = 0.0, math.sqrt((2 * m + 1) / (4.0 * math.pi) * ratio) * sin_theta**m
+    for d in range(m + 1, l + 1):
+        a = math.sqrt((4 * d * d - 1) / (d * d - m * m))
+        b = math.sqrt(((d - 1) ** 2 - m * m) / (4 * (d - 1) ** 2 - 1))
+        prev, p = p, a * (x * p - b * prev)
+    if m > 0:
+        p = math.sqrt(2.0) * p * np.cos(m * np.asarray(phi, dtype=np.float64))
+    return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)
@@ -101,9 +85,7 @@ class Field:
     @property
     def core(self) -> np.ndarray:
         m = self.margin
-        if m == 0:
-            return self.data
-        return self.data[m:-m, m:-m]
+        return self.data[m:m + self.height, m:m + self.width]
 
 
 @dataclass(frozen=True)
@@ -131,14 +113,12 @@ class FieldSpec:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("polynomial coefficients must be finite")
             object.__setattr__(self, "coeffs", arr)
+        elif self.coeffs is not None:
+            raise ValueError(f"{self.family} family takes an order, not a coefficient table")
         elif self.order < 1:
             raise ValueError(
                 f"{self.family} order must be >= 1 (order 0 is identically zero), got {self.order}"
             )
-
-
-def _axis_indices(n: int, margin: int) -> np.ndarray:
-    return np.arange(-margin, n + margin, dtype=np.float64)
 
 
 def generate(spec: FieldSpec) -> Field:
@@ -147,41 +127,34 @@ def generate(spec: FieldSpec) -> Field:
     The central H x W block covers the family domain (chebyshev: [-1,1]^2;
     spherical: colatitude [0, pi] by azimuth [0, 2pi); polynomial: integer
     pixel coordinates); the margin continues the same coordinate map beyond
-    the edges.
+    the edges. Raises ``ValueError`` if a sample does not fit in float64.
     """
-    h_count, w_count, m = spec.height, spec.width, spec.margin
-    ys = _axis_indices(h_count, m)
-    xs = _axis_indices(w_count, m)
-    if spec.family == "chebyshev":
-        n = spec.order
-        hv = -1.0 + 2.0 * ys / (h_count - 1)
-        wv = -1.0 + 2.0 * xs / (w_count - 1)
-        data = (
-            chebyshev_U(n, hv)[:, None]
-            * chebyshev_U(n, wv)[None, :]
-            * np.sin(n * (hv[:, None] + wv[None, :]))
-        )
-    elif spec.family == "spherical":
-        n = spec.order
-        theta = math.pi * ys / (h_count - 1)
-        phi = 2.0 * math.pi * xs / w_count
-        # Y_{2n}^n is separable in (theta, phi); the azimuthal factor of the
-        # cosine convention is cos(n*phi), recovered by evaluating at phi=0.
-        y_part = spherical_Y(2 * n, n, theta, 0.0)
-        data = (
-            y_part[:, None]
-            * np.cos(n * phi)[None, :]
-            * np.sin(n * (theta[:, None] + phi[None, :]))
-        )
-    else:
-        coeffs = spec.coeffs
-        data = np.zeros((ys.size, xs.size), dtype=np.float64)
-        for a in range(coeffs.shape[0]):
-            w_poly = np.zeros_like(xs)
-            for b in range(coeffs.shape[1]):
-                w_poly += coeffs[a, b] * xs**b
-            data += ys[:, None] ** a * w_poly[None, :]
-    return Field(data=np.ascontiguousarray(data, dtype=np.float64), margin=m)
+    h, w, m, n = spec.height, spec.width, spec.margin, spec.order
+    ys = np.arange(-m, h + m, dtype=np.float64)
+    xs = np.arange(-m, w + m, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == "polynomial":
+            coeffs = spec.coeffs
+            data = np.zeros((ys.size, xs.size), dtype=np.float64)
+            for a in range(coeffs.shape[0]):
+                w_poly = np.zeros_like(xs)
+                for b in range(coeffs.shape[1]):
+                    w_poly += coeffs[a, b] * xs**b
+                data += ys[:, None] ** a * w_poly[None, :]
+        else:
+            if spec.family == "chebyshev":
+                u, v = -1.0 + 2.0 * ys / (h - 1), -1.0 + 2.0 * xs / (w - 1)
+                along_y, along_x = chebyshev_U(n, u), chebyshev_U(n, v)
+            else:
+                u, v = math.pi * ys / (h - 1), 2.0 * math.pi * xs / w
+                # Y_{2n}^n is separable in (theta, phi); the azimuthal factor of the
+                # cosine convention is cos(n*phi), recovered by evaluating at phi=0.
+                along_y, along_x = spherical_Y(2 * n, n, u, 0.0), np.cos(n * v)
+            data = along_y[:, None] * along_x[None, :] * np.sin(n * (u[:, None] + v[None, :]))
+    if not np.all(np.isfinite(data)):
+        what = f"{spec.family} field" + ("" if spec.family == "polynomial" else f" of order {n}")
+        raise ValueError(f"{what} on a {h}x{w} grid with margin {m} does not fit in float64")
+    return Field(data=data, margin=m)
 
 
 @dataclass(frozen=True)

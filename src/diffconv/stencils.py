@@ -15,16 +15,14 @@ transform of a kernel to in-window position (r, s) is kron(t_r, t_s).
 A convolution kernel is equivalent to a linear differential operator acting on
 the window interpolant at the window center. Re-evaluating that operator at
 another in-window position (r, s) gives a transformed kernel that acts on the
-nearest complete window instead: t_r W t_s^T for the K x K kernel W. Only the
-K shift matrices are kept, as float64, per kernel size. A kernel's bank of all
-K^2 variants is a plain read-only array; ``diffconv dump-bank`` writes it as
-JSON.
+nearest complete window instead: t_r W t_s^T for the K x K kernel W. A
+kernel's bank of all K^2 variants is a plain read-only array; ``diffconv
+dump-bank`` writes it as JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import factorial
 
 import numpy as np
@@ -182,14 +180,11 @@ def as_kernel(kernel) -> np.ndarray:
     return arr
 
 
-@cache
 def _shift_factors(k: int) -> np.ndarray:
     """The K shift matrices t_0..t_{K-1} as float64, shape (K, K, K). Their
     entries are integers, so the floats are exact."""
     half_width(k)
-    factors = np.stack([mat_to_floats(shift_matrix(k, r)) for r in range(k)])
-    factors.setflags(write=False)
-    return factors
+    return np.stack([mat_to_floats(shift_matrix(k, r)) for r in range(k)])
 
 
 def kernel_from_operator(coeffs) -> np.ndarray:

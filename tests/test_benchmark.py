@@ -215,6 +215,15 @@ def test_run_benchmark_reports_the_first_bad_kernel_of_a_chunk(monkeypatch, firs
     assert str(raised.value) == OVERFLOW_TEXT[first]
 
 
+def test_run_benchmark_runs_spherical_orders_past_the_factorial_range():
+    # Y_114^57 and Y_400^200: (l + m)! no longer fits in a float from order 57.
+    config = BenchmarkConfig(family="spherical", orders=(57, 200), height=16, width=16,
+                             size=3, filter_count=2, seed=0)
+    rows = run_benchmark(config)
+    assert len(rows) == 2 * len(METHODS) * 2
+    assert np.isfinite([row[4:] for row in rows]).all()
+
+
 def test_run_benchmark_checks_slots_only_when_a_cell_is_not_finite(monkeypatch):
     calls = []
     monkeypatch.setattr(benchmark, "_check_finite", lambda *args: calls.append(args))

@@ -171,6 +171,46 @@ def test_gen_polynomial_requires_coeffs(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("family", ["chebyshev", "spherical"])
+def test_gen_rejects_coeffs_for_an_ordered_family(runner, tmp_path, family):
+    out = tmp_path / "f.npy"
+    result = runner.invoke(main, ["gen", "--family", family, "--order", "2", "--coeffs", "00:1",
+                                  "--height", "4", "--width", "4", "--output", str(out)])
+    assert result.exit_code == 2
+    assert f"{family} family takes an order, not a coefficient table" in result.stderr
+    assert not out.exists()
+
+
+FIELD_BEYOND_FLOAT64 = ("Error: chebyshev field of order 1400 on a 16x16 grid with margin 1 "
+                        "does not fit in float64\n")
+
+
+def test_gen_reports_a_field_beyond_float64(runner, tmp_path):
+    out = tmp_path / "c.npy"
+    result = runner.invoke(main, ["gen", "--family", "chebyshev", "--order", "1400", "--height",
+                                  "16", "--width", "16", "--margin", "1", "--output", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == FIELD_BEYOND_FLOAT64
+    assert not out.exists()
+
+
+def test_compare_reports_a_field_beyond_float64(runner, tmp_path):
+    # compare samples a K = 3 field with a one-cell margin.
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, ["compare", "--orders", "1400", "--height", "16", "--width",
+                                  "16", "--filters", "1", "--output", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == FIELD_BEYOND_FLOAT64
+    assert not out.exists()
+
+
+def test_compare_runs_high_spherical_orders(runner):
+    result = runner.invoke(main, ["compare", "--family", "spherical", "--orders", "57,200",
+                                  "--height", "16", "--width", "16", "--filters", "2"])
+    assert result.exit_code == 0
+    assert len(result.output.strip().split("\n")) == 1 + 2 * 8 * 2
+
+
 def test_filter_identity_kernel_round_trip(runner, tmp_path):
     rng = np.random.default_rng(5)
     image = rng.uniform(-1.0, 1.0, size=(10, 12))

@@ -68,6 +68,36 @@ def test_spherical_orthonormality_by_quadrature():
         assert integral == pytest.approx(1.0, rel=1e-3)
 
 
+def _spherical_reference(l, m, theta, phi):
+    # The unnormalised upward recurrence and factorial normalisation, in 80
+    # digits, where neither (2m-1)!! nor (l+m)! can overflow.
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 80
+    out = []
+    for t, f in zip(theta, phi):
+        x = mp.cos(mp.mpf(float(t)))
+        sin_theta = mp.sqrt(max(0, (1 - x) * (1 + x)))
+        prev, p = 0, mp.fprod(2 * i - 1 for i in range(1, m + 1)) * sin_theta**m
+        for d in range(m + 1, l + 1):
+            prev, p = p, (x * (2 * d - 1) * p - (d + m - 1) * prev) / (d - m)
+        norm = mp.sqrt((2 * l + 1) / (4 * mp.pi) * mp.factorial(l - m) / mp.factorial(l + m))
+        out.append(float(norm * p * (mp.sqrt(2) * mp.cos(m * mp.mpf(float(f))) if m else 1)))
+    return np.array(out)
+
+
+# (2n, n) as generate samples it, across the old factorial range's end at n = 57;
+# then an m = 0 and an l = m case.
+@pytest.mark.parametrize("l,m", [(2, 1), (20, 10), (112, 56), (114, 57), (400, 200),
+                                 (9, 0), (7, 7)])
+def test_spherical_matches_an_80_digit_reference(l, m):
+    # Colatitudes past both poles too, as a field's analytic margin samples them.
+    theta = np.linspace(-0.3, math.pi + 0.3, 41)
+    phi = np.linspace(0.0, 2.0 * math.pi, 41)
+    want = _spherical_reference(l, m, theta, phi)
+    got = spherical_Y(l, m, theta, phi)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_generate_chebyshev_center_is_zero():
     fld = generate(FieldSpec(family="chebyshev", height=3, width=3, order=1))
     assert fld.data[1, 1] == 0.0
@@ -105,6 +135,23 @@ def test_field_spec_validation():
         FieldSpec(family="polynomial", height=3, width=3)
     with pytest.raises(ValueError):
         FieldSpec(family="gaussian", height=3, width=3, order=1)
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "spherical"])
+def test_field_spec_rejects_coefficients_for_an_ordered_family(family):
+    with pytest.raises(ValueError, match=f"^{family} family takes an order, not a coefficient"):
+        FieldSpec(family=family, height=4, width=4, order=2, coeffs=[[1.0]])
+
+
+def test_generate_rejects_a_field_beyond_float64():
+    # U_1400 at the margin's |x| = 1 + 2/15 overflows; the sampling warns nothing.
+    spec = FieldSpec(family="chebyshev", height=16, width=16, order=1400, margin=1)
+    with pytest.raises(ValueError, match=r"^chebyshev field of order 1400 on a 16x16 grid "
+                                         r"with margin 1 does not fit in float64$"):
+        generate(spec)
+    big = FieldSpec(family="polynomial", height=4, width=4, coeffs=[[0.0, 1e308]], margin=1)
+    with pytest.raises(ValueError, match=r"^polynomial field on a 4x4 grid with margin 1 does not"):
+        generate(big)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
