@@ -7,7 +7,7 @@ pixel. The package also ships the usual padding baselines, partial
 convolution, analytic test fields, and a benchmark harness.
 """
 
-from .benchmark import BenchmarkConfig, derive_seed, rows_to_csv, run_benchmark
+from .benchmark import BenchmarkConfig, derive_seed, l1_error, mse, rows_to_csv, run_benchmark
 from .engine import (
     METHODS,
     SCHEME_TAGS,
@@ -30,7 +30,6 @@ from .fields import (
     random_kernels,
     spherical_Y,
 )
-from .metrics import l1_error, mse
 from .npyio import ArrayFileError, load_array, save_array
 from .stencils import (
     SUPPORTED_SIZES,

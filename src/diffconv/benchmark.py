@@ -5,6 +5,11 @@ filters the same field with the same random kernels, through the engine's
 margin table, and errors are taken against the extended-sampling ground
 truth. Per-kernel random streams are keyed by (seed, order, kernel index), so
 results are identical no matter how the work is scheduled.
+
+Both error metrics are :func:`running_mean`: the left-to-right running sum
+of the per-pixel errors in row-major order (``np.add.accumulate``, whose
+order is fixed) over the pixel count. A zero error adds nothing to that sum,
+so summing only the non-zero pixels, in the same order, gives the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .engine import (
     _rescale_frame,
 )
 from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
-from .metrics import running_mean
 from .stencils import half_width
 
 CSV_HEADER = "family,order,method,kernel_index,eps1,eps2"
@@ -53,8 +57,9 @@ class BenchmarkConfig:
             raise ValueError(f"filter count must be >= 1, got {self.filter_count}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad or not self.methods:
+        if not self.methods:
+            raise ValueError(f"methods must name at least one of {METHODS}")
+        if bad := [m for m in self.methods if m not in METHODS]:
             raise ValueError(f"unknown methods {bad}; expected a subset of {METHODS}")
         if self.height < self.size or self.width < self.size:
             raise ValueError(
@@ -67,21 +72,33 @@ def derive_seed(seed: int, order: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, order, index]).generate_state(1, np.uint64)[0])
 
 
-def _frame_index(h: int, w: int, m: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (H, W) frame mask, and (slots, frame pixels): each slot's frame pixels
-    in row-major order as positions in :func:`run_benchmark`'s joined strip outputs."""
-    frame = np.ones((h, w), dtype=bool)
-    frame[m:h - m, m:w - m] = False
-    tb = np.arange(m * (slots * 2 * (w + 2 * m) - 2 * m)).reshape(m, -1)
-    lr = tb.size + np.arange(m * (slots * 2 * (h + 2 * m) - 2 * m)).reshape(m, -1).T
-    at = np.empty((h, w), dtype=np.intp)  # slot 0's; bands meeting at a corner agree bitwise
-    for b in (0, 1):
-        x, y = b * (w - m), b * (h - m)  # the band's first column and row
-        at[:, x:x + m] = lr[b * (h + 2 * m):][:h]
-        at[y:y + m] = tb[:, b * (w + 2 * m):][:, :w]
-    at = at[frame]
-    step = np.where(at < tb.size, 2 * (w + 2 * m), 2 * (h + 2 * m))  # to the next slot's band
-    return frame, at + np.arange(slots)[:, None] * step
+def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ValueError(f"error metrics need at least one pixel, got shape {a.shape}")
+    return a, b
+
+
+def running_mean(err: np.ndarray, count: int) -> np.ndarray:
+    """The left-to-right running sum of ``err`` along its last axis, divided
+    by ``count``; leading axes are a batch."""
+    return np.add.accumulate(err, axis=-1)[..., -1] / count
+
+
+def l1_error(a, b) -> float:
+    """Mean absolute difference over all pixels, summed in row-major order."""
+    a, b = _check_pair(a, b)
+    return float(running_mean(np.abs(a - b).reshape(-1), a.size))
+
+
+def mse(a, b) -> float:
+    """Mean squared difference over all pixels, summed in row-major order."""
+    a, b = _check_pair(a, b)
+    d = a - b
+    return float(running_mean((d * d).reshape(-1), a.size))
 
 
 def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
@@ -95,31 +112,40 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     convolution of the 3m-wide edge bands of the padded field, the same
     arithmetic per pixel as the full convolution. Every slot's (the
     oracle's and each method's) top and bottom bands lie side by side in one
-    C-contiguous (3m, slots*2*(W+2m)) strip, the left and right bands,
-    transposed, in a (3m, slots*2*(H+2m)) one: a kernel is one accumulation
-    per strip, and one gather takes every slot's frame pixels in row-major
-    order, dropping the 2m outputs across each seam. Per chunk of kernels
-    (``_TILE_BYTES`` of frame values, or one kernel's), eps1 and eps2 are
-    the ``running_mean`` over H*W of the frame pixels' errors; a zero adds
-    nothing to a row-major sum, so they are bitwise ``l1_error`` and ``mse``
-    of each method's ``apply_method`` output against ``oracle_convolution``.
+    C-contiguous strip, the left and right bands, transposed, in another.
+    A kernel is one accumulation per strip; with 2m zero columns at each
+    strip's end, its output reshapes to (m, slots, 2, W+2m) or
+    (m, slots, 2, H+2m), each band's last 2m outputs straddling a seam, and
+    its slices are copied into views of every slot's row-major frame. Per
+    chunk of kernels (``_TILE_BYTES`` of frame values, or one kernel's), eps1
+    and eps2 are the ``running_mean`` over H*W of the frame pixels' errors in
+    row-major order, so they are bitwise ``l1_error`` and ``mse`` of each
+    method's ``apply_method`` output against ``oracle_convolution``.
     """
     k, h, w = config.size, config.height, config.width
     m = half_width(k)
     # One slot per distinct method; slot 0 is the oracle.
     slot = {method: s for s, method in enumerate(dict.fromkeys(config.methods), start=1)}
+    slots = len(slot) + 1
     kernels = random_kernels(RandomKernelSpec(size=k, count=config.filter_count, seed=config.seed))
-    frame, index = _frame_index(h, w, m, len(slot) + 1)
+    frame = np.ones((h, w), dtype=bool)
+    frame[m:h - m, m:w - m] = False
     scale = np.ones((h, w))
     _rescale_frame(scale, k)  # partial's factor per pixel
     scale = scale[frame]
-    tb, lr = (np.empty((3 * m, len(slot) + 1, 2, n + 2 * m)) for n in (w, h))
+    strips = [np.zeros((3 * m, slots * 2 * (size + 2 * m) + 2 * m)) for size in (w, h)]
+    tb, lr = (strip[:, :-2 * m].reshape(3 * m, slots, 2, -1) for strip in strips)
 
     def put(s: int, padded: np.ndarray) -> None:  # the 3m-wide bands into slot s
         tb[:, s, 0], tb[:, s, 1] = padded[:3 * m], padded[-3 * m:]
         lr[:, s, 0], lr[:, s, 1] = padded[:, :3 * m].T, padded[:, -3 * m:].T
 
-    chunk = np.empty((max(1, _TILE_BYTES // (8 * index.size)), *index.shape))
+    chunk = np.empty((max(1, _TILE_BYTES // (8 * slots * scale.size)), slots, scale.size))
+    # Views of each kernel's row-major frames in the band outputs' layout: the top and
+    # bottom rows as (m, slots, W), the middle rows' left and right ends as (m, slots, 2, H - 2m).
+    top, bottom = (chunk[..., a:a + m * w].reshape(-1, slots, m, w).swapaxes(1, 2)
+                   for a in (0, scale.size - m * w))
+    sides = chunk[..., m * w:-m * w].reshape(-1, slots, h - 2 * m, 2, m).transpose(0, 4, 1, 3, 2)
     rows: list[tuple] = []
     for order in config.orders:
         fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
@@ -138,9 +164,10 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
                     if "distribution" in slot:
                         _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
                         put(slot["distribution"], dist)
-                    joined = np.concatenate([_accumulate(tb.reshape(3 * m, -1), ker).ravel(),
-                                             _accumulate(lr.reshape(3 * m, -1).T, ker).T.ravel()])
-                    out[j - j0] = joined[index]
+                    tb_out = _accumulate(strips[0], ker).reshape(m, slots, 2, w + 2 * m)
+                    lr_out = _accumulate(strips[1].T, ker).T.reshape(m, slots, 2, h + 2 * m)
+                    top[j - j0], bottom[j - j0] = tb_out[:, :, 0, :w], tb_out[:, :, 1, :w]
+                    sides[j - j0] = lr_out[..., m:h - m]
                 if "partial" in slot:
                     out[:, slot["partial"]] *= scale
             if not np.isfinite(out).all():

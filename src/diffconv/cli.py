@@ -148,8 +148,8 @@ def make_kernel(size, op_text, output):
 
 @main.command()
 @click.option("--family", type=click.Choice(FAMILIES), required=True)
-@click.option("--order", type=int, default=1, show_default=True,
-              help="Function order (chebyshev/spherical).")
+@click.option("--order", type=int, default=None,
+              help="Function order (chebyshev/spherical)  [default: 1]")
 @click.option("--coeffs", default=None,
               help="Polynomial coefficients 'ab:value,...' (a, b are exponents of row/col coords).")
 @click.option("--height", type=int, required=True)
@@ -167,6 +167,8 @@ def gen(family, order, coeffs, height, width, margin, output):
         coeff_table = np.zeros((max_a + 1, max_b + 1), dtype=np.float64)
         for (a, b), value in entries.items():
             coeff_table[a, b] = value
+    if order is None:
+        order = 0 if family == "polynomial" else 1
     try:
         spec = FieldSpec(
             family=family, height=height, width=width,

@@ -105,6 +105,8 @@ class FieldSpec:
         if self.margin < 0:
             raise ValueError(f"margin must be >= 0, got {self.margin}")
         if self.family == "polynomial":
+            if self.order:
+                raise ValueError("polynomial family takes a coefficient table, not an order")
             if self.coeffs is None:
                 raise ValueError("polynomial family requires a coefficient table")
             arr = np.asarray(self.coeffs, dtype=np.float64)

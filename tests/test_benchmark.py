@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from diffconv import benchmark, engine, fields
-from diffconv.benchmark import BenchmarkConfig, derive_seed, rows_to_csv, run_benchmark
+from diffconv.benchmark import (
+    BenchmarkConfig,
+    derive_seed,
+    l1_error,
+    mse,
+    rows_to_csv,
+    run_benchmark,
+    running_mean,
+)
 from diffconv.engine import METHODS, apply_method
 from diffconv.fields import (
     Field,
@@ -14,7 +22,6 @@ from diffconv.fields import (
     oracle_convolution,
     random_kernels,
 )
-from diffconv.metrics import l1_error, mse, running_mean
 from diffconv.stencils import half_width
 
 
@@ -71,6 +78,11 @@ def test_rows_equal_full_per_cell_definition():
         dataclasses.replace(base, size=9, height=9, width=9, family="spherical"),
         dataclasses.replace(base, size=7, methods=("partial", "distribution", "diff")),
         dataclasses.replace(base, methods=("partial", "diff", "zero", "partial", "diff")),
+        # One middle row or column between the non-square bands.
+        dataclasses.replace(base, size=7, height=7, width=40),
+        dataclasses.replace(base, size=7, height=40, width=7),
+        dataclasses.replace(base, size=9, height=9, width=12, family="spherical"),
+        dataclasses.replace(base, methods=("diff",)),
     ]
     for config in configs:
         expected = full_per_cell_rows(config)

@@ -181,6 +181,25 @@ def test_gen_rejects_coeffs_for_an_ordered_family(runner, tmp_path, family):
     assert not out.exists()
 
 
+def test_gen_rejects_an_order_for_polynomial(runner, tmp_path):
+    out = tmp_path / "p.npy"
+    result = runner.invoke(main, ["gen", "--family", "polynomial", "--order", "7", "--coeffs",
+                                  "00:1", "--height", "4", "--width", "4", "--output", str(out)])
+    assert result.exit_code == 2
+    assert "polynomial family takes a coefficient table, not an order" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "spherical"])
+def test_gen_defaults_to_order_one(runner, tmp_path, family):
+    paths = [tmp_path / "default.npy", tmp_path / "one.npy"]
+    for path, order in zip(paths, [[], ["--order", "1"]]):
+        result = runner.invoke(main, ["gen", "--family", family, *order, "--height", "4",
+                                      "--width", "5", "--output", str(path)])
+        assert result.exit_code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 FIELD_BEYOND_FLOAT64 = ("Error: chebyshev field of order 1400 on a 16x16 grid with margin 1 "
                         "does not fit in float64\n")
 
@@ -440,6 +459,18 @@ def test_compare_rejects_bad_orders(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["compare", "--orders", "abc"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("methods,message", [
+    ("", "methods must name at least one of ('diff',"),
+    (" , ", "methods must name at least one of ('diff',"),
+    ("diff,bogus", "unknown methods ['bogus']; expected a subset of ('diff',"),
+])
+def test_compare_rejects_bad_methods(runner, methods, message):
+    result = runner.invoke(main, ["compare", "--methods", methods, "--filters", "1",
+                                  "--orders", "1"])
+    assert result.exit_code == 2
+    assert message in result.stderr
 
 
 def test_compare_writes_file(runner, tmp_path):

@@ -143,6 +143,11 @@ def test_field_spec_rejects_coefficients_for_an_ordered_family(family):
         FieldSpec(family=family, height=4, width=4, order=2, coeffs=[[1.0]])
 
 
+def test_field_spec_rejects_an_order_for_polynomial():
+    with pytest.raises(ValueError, match="^polynomial family takes a coefficient table, not an"):
+        FieldSpec(family="polynomial", height=4, width=4, order=7, coeffs=[[1.0]])
+
+
 def test_generate_rejects_a_field_beyond_float64():
     # U_1400 at the margin's |x| = 1 + 2/15 overflows; the sampling warns nothing.
     spec = FieldSpec(family="chebyshev", height=16, width=16, order=1400, margin=1)

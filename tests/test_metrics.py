@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffconv.metrics import l1_error, mse
+from diffconv.benchmark import l1_error, mse
 
 
 def test_identical_fields_have_zero_error():
