@@ -25,8 +25,10 @@ are bitwise reproducible and every method's interior agrees bitwise with
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cache
+from threading import Thread
 
 import numpy as np
 
@@ -86,6 +88,37 @@ def _check_sizes(field: np.ndarray, k: int, method: str) -> None:
 _TILE_BYTES = 256 * 1024
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _accumulate_rows(src, out, tmp, taps, start: int, stop: int) -> None:
+    # Rows [start, stop) of ``out``, one tile of ``tmp``'s height at a time:
+    # each tap's product is written into ``tmp`` and added to the tile.
+    rows, nx = tmp.shape
+    for y0 in range(start, stop, rows):
+        y1 = min(y0 + rows, stop)
+        tile, part = out[y0:y1], tmp[:y1 - y0]
+        for (a, b), weight in taps:
+            np.multiply(src[y0 + a:y1 + a, b:b + nx], weight, part)
+            tile += part
+
+
+def _accumulate_worker(errors: list, *args) -> None:
+    # A new thread starts with numpy's default error state, not the caller's:
+    # ignore overflow as every caller does (it checks the output), and hand
+    # any exception to the caller, since a lost one would leave the block's
+    # tiles at finite zeros.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _accumulate_rows(*args)
+    except BaseException as exc:
+        errors.append(exc)
+
+
 def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # Valid product-sum of a 2-D array, accumulated in fixed (i, j) order, so
     # the per-pixel arithmetic path is identical wherever the same window
@@ -95,21 +128,39 @@ def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # the work runs on its transposed view, so every pass reads and writes
     # along the contiguous axis, and the output is returned with the input's
     # layout.
+    # The tiles are split into n contiguous blocks, n the smaller of the tile
+    # count and the CPUs this process may run on: the calling thread runs
+    # block 0 and a thread per block the rest, each into its own scratch tile
+    # (numpy's loops release the GIL). A pixel is still computed by one tile
+    # alone, so the output bits do not depend on n; one tile starts no thread.
     k = kernel.shape[0]
     flip = abs(field.strides[1]) > abs(field.strides[0])
     src = field.T if flip else field
     ny, nx = src.shape[0] - k + 1, src.shape[1] - k + 1
     out = np.zeros((ny, nx), dtype=np.float64)
     rows = max(1, _TILE_BYTES // (8 * nx))
-    scratch = np.empty((min(rows, ny), nx), dtype=np.float64)
+    tiles = -(-ny // rows)
+    blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
+    scratch = np.empty((blocks, min(rows, ny), nx), dtype=np.float64)
     # Per tap in (i, j) order: its row and column offset in ``src``, and its weight.
     taps = [((j, i) if flip else (i, j), kernel[i, j]) for i in range(k) for j in range(k)]
-    for y0 in range(0, ny, rows):
-        y1 = min(y0 + rows, ny)
-        tile, tmp = out[y0:y1], scratch[:y1 - y0]
-        for (a, b), weight in taps:
-            np.multiply(src[y0 + a:y1 + a, b:b + nx], weight, tmp)
-            tile += tmp
+    if blocks == 1:
+        _accumulate_rows(src, out, scratch[0], taps, 0, ny)
+        return out.T if flip else out
+    starts = [min(block * tiles // blocks * rows, ny) for block in range(blocks + 1)]
+    errors = []
+    threads = [Thread(target=_accumulate_worker,
+                      args=(errors, src, out, scratch[block], taps, starts[block], starts[block + 1]))
+               for block in range(1, blocks)]
+    for thread in threads:
+        thread.start()
+    try:
+        _accumulate_rows(src, out, scratch[0], taps, 0, starts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out.T if flip else out
 
 

@@ -1,7 +1,11 @@
-"""Row-tiled accumulation against the untiled references, and the full-size
-arrays each size-keeping call allocates."""
+"""Row-tiled accumulation against the untiled references, with its tiles
+split over one or more threads, and the full-size arrays each size-keeping
+call allocates."""
 
+import itertools
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from conftest import (
 )
 
 from diffconv import engine
+from diffconv.benchmark import BenchmarkConfig, run_benchmark
 from diffconv.engine import (
     METHODS,
     PaddingScheme,
@@ -60,6 +65,11 @@ def field_and_kernel(shape, k, seed):
     return field, rng.uniform(-1.0, 1.0, size=(k, k))
 
 
+# Worker counts for the bitwise tests: one (no thread), two, and three,
+# which exceeds the tile count of the smallest fields.
+WORKERS = (1, 2, 3)
+
+
 @pytest.mark.parametrize("tile_rows", [1, 2])
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
 def test_every_method_matches_untiled_reference(monkeypatch, k, tile_rows):
@@ -67,7 +77,9 @@ def test_every_method_matches_untiled_reference(monkeypatch, k, tile_rows):
     # every row, so a wrong reverse slice shows there first. K is odd, so
     # two-row tiles leave a one-row remainder tile.
     m = half_width(k)
-    for shape in [(k, k), (k, 2 * k + 3), (2 * k + 4, k), (2 * k + 5, 3 * k + 2)]:
+    shapes = [(k, k), (k, 2 * k + 3), (2 * k + 4, k), (2 * k + 5, 3 * k + 2)]
+    for workers, shape in itertools.product(WORKERS, shapes):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
         field, kernel = field_and_kernel(shape, k, seed=10 * k + shape[1])
         monkeypatch.setattr(engine, "_TILE_BYTES", tile_rows * 8 * shape[1])
         for method, degree in (("extrapolate", m), ("diff", k - 1)):
@@ -120,11 +132,64 @@ def test_column_major_band_stacks_match_untiled_reference(monkeypatch, k):
     assert_bitwise_equal(got, want)
     assert got.strides[0] < got.strides[1]
     column_bytes = 8 * want.shape[0]
-    for tile_columns in (1, 2):
-        monkeypatch.setattr(engine, "_TILE_BYTES", tile_columns * column_bytes)
-        assert_bitwise_equal(_accumulate(strip, kernel), want)
+    for workers in WORKERS:
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        for tile_columns in (1, 2):
+            monkeypatch.setattr(engine, "_TILE_BYTES", tile_columns * column_bytes)
+            assert_bitwise_equal(_accumulate(strip, kernel), want)
     # A C-contiguous input still gives a C-contiguous output.
     assert _accumulate(np.ascontiguousarray(strip), kernel).flags.c_contiguous
+
+
+def test_workers_share_no_scratch(monkeypatch):
+    # More workers than CPUs, one-row tiles and a short switch interval, so
+    # the blocks interleave; a scratch tile shared between two of them
+    # corrupts the output.
+    field, kernel = field_and_kernel((130, 402), 3, seed=1)
+    want = reference_accumulate(field, kernel)
+    workers = engine._cpu_count() + 2
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 400)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert_bitwise_equal(_accumulate(field, kernel), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_overflow_is_reported_by_the_caller(monkeypatch):
+    # Ten four-row tiles in two blocks, output rows 0-19 and 20-39. The 1e307
+    # pixel sits in field row 27, away from every margin, so only the second
+    # block, run by a worker thread, overflows: in the product, before it
+    # reaches the output. Without its own error state the worker would warn,
+    # and the warning, raised in the thread, would leave its tiles finite.
+    field = np.zeros((40, 40))
+    field[27, 20] = 1e307
+    monkeypatch.setattr(engine, "_TILE_BYTES", 4 * 8 * 40)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"diff output is not finite for K=9: .*3\.002e\+08"):
+            conv2d_diff(field, np.full((9, 9), 100.0))
+
+
+def test_one_tile_starts_no_thread(monkeypatch):
+    # compare's band strips at its defaults and a 64^2 field each fit one
+    # tile, so they run in the calling thread whatever the CPU count.
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the accumulation started a thread")
+
+    monkeypatch.setattr(engine, "Thread", no_thread)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
+    run_benchmark(BenchmarkConfig(family="chebyshev", orders=tuple(range(1, 11)), height=128,
+                                  width=128, size=3, filter_count=100, seed=0))
+    field, kernel = field_and_kernel((64, 64), 7, seed=0)
+    conv2d_diff(field, kernel)
+    monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 64)  # 64 one-row tiles
+    with pytest.raises(AssertionError, match="started a thread"):
+        conv2d_diff(field, kernel)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
@@ -144,21 +209,24 @@ def test_partial_frame_rescale_matches_full_scale_map(k):
     (conv2d_diff, 2),  # the padded field and the output
     (partial_conv2d, 2),  # the zero-padded field and the output
 ])
-def test_full_size_arrays_per_call(function, full_size_arrays):
-    # Traced peak of one call at 512^2, K = 3, in units of the field's size.
-    # Besides the full-size arrays there is one scratch tile, a few
-    # margin-sized arrays and the 64 KiB buffer numpy's multiply allocates
-    # for a strided view. An untiled accumulation adds one full-size product
-    # temporary per call, a stacked padding or a full-size scale map another.
+def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
+    # Traced peak of one call at 512^2, K = 3, in units of the field's size,
+    # with one and with two workers. Besides the full-size arrays there is
+    # one scratch tile per worker, a few margin-sized arrays and, per worker,
+    # the 64 KiB buffer numpy's multiply allocates for a strided view. An
+    # untiled accumulation adds one full-size product temporary per call, a
+    # stacked padding or a full-size scale map another.
     field = np.random.default_rng(0).standard_normal((512, 512))
     kernel = np.full((3, 3), 1.0 / 9.0)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        function(field, kernel)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert round(peak / field.nbytes) == full_size_arrays
     padded_bytes = 514 * 514 * 8
-    assert peak <= full_size_arrays * padded_bytes + engine._TILE_BYTES + 128 * 1024
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            function(field, kernel)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert round(peak / field.nbytes) == full_size_arrays
+        assert peak <= full_size_arrays * padded_bytes + workers * (engine._TILE_BYTES + 128 * 1024)
