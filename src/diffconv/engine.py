@@ -12,9 +12,10 @@ pixels determine the result.
 That makes ``diff`` one row of a per-axis margin table (:func:`_axis_margin`)
 shared with the baselines: zero, reflect, replicate, circular, degree-m
 extrapolation, distribution padding and partial convolution. Every method in
-:data:`METHODS` fills a half-width margin (:func:`_margin`), runs one valid
-accumulation over the result, and ``partial`` then rescales its zero-padded
-frame by the inverse fraction of in-image pixels per window.
+:data:`METHODS` fills a half-width margin (:func:`_margin`, one loop over the
+two axes of its own row-major copy), runs one valid accumulation over the
+result, and ``partial`` then rescales each output whose window an edge cuts
+by the inverse fraction of in-image pixels in that window.
 :func:`apply_method` is the one validated path all of them take.
 
 All products use cross-correlation orientation (no kernel flip), and every
@@ -241,48 +242,41 @@ def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray
     """The validated ``field`` surrounded by the half-width margin that
     ``method`` (any of :data:`METHODS`) convolves.
 
-    The margin starts at zero. :func:`_axis_margin` fills the left and right
-    of the field's rows, then the top and bottom across the whole width, so
-    every corner is the rows-then-columns tensor product. ``distribution``
-    draws per edge from ``seed`` instead."""
+    The margin starts at zero and is built from the function's own row-major
+    copy alone, so its bits do not depend on how ``field`` is stored. One
+    loop applies :func:`_axis_margin` along each axis: first to either end of
+    the field's rows, then to either end of the columns across the whole
+    width, so every corner is the rows-then-columns tensor product.
+    ``distribution`` draws per edge from ``seed`` instead."""
     m = half_width(k)
     _check_sizes(field, k, method)
     h, w = field.shape
     padded = np.zeros((h + 2 * m, w + 2 * m))
     padded[m:m + h, m:m + w] = field
     if method == "distribution":
-        _draw_distribution(padded, m, _distribution_stats(field, k), seed)
-    if (table := _axis_margin(method, w, k)) is not None:
-        cells, weights = table
-        for end, near in ((field, padded[m:m + h, m - 1::-1]),
-                          (field[:, ::-1], padded[m:m + h, m + w:])):
-            near[...] = end[:, cells] if weights is None else end[:, cells] @ weights
-        cells, weights = _axis_margin(method, h, k)
-        rows = padded[m:m + h]
-        for end, near in ((rows, padded[m - 1::-1]), (rows[::-1], padded[m + h:])):
-            near[...] = end[cells] if weights is None else weights.T @ end[cells]
+        _draw_distribution(padded, m, _distribution_stats(padded[m:m + h, m:m + w], k), seed)
+    elif _axis_margin(method, 1, k) is not None:
+        # Each axis as rows of ``lines``: the n in-image cells lie at [m, m + n).
+        for lines, n in ((padded[m:m + h], w), (padded.T, h)):
+            cells, weights = _axis_margin(method, n, k)
+            inside = lines[:, m:m + n]
+            for end, near in ((inside, lines[:, m - 1::-1]), (inside[:, ::-1], lines[:, m + n:])):
+                near[...] = end[:, cells] if weights is None else end[:, cells] @ weights
     return padded
 
 
-def _window_counts(n: int, k: int) -> np.ndarray:
-    """In-image pixels per K-wide window centred on each of n positions."""
-    m = half_width(k)
-    idx = np.arange(n)
-    return np.minimum(idx + m, n - 1) - np.maximum(idx - m, 0) + 1
-
-
 def _rescale_frame(out: np.ndarray, k: int) -> None:
-    """Multiply the m-wide frame of ``out`` in place by K^2 / (in-image
-    pixels per window), partial convolution's factor; the interior's is 1."""
+    """Multiply the frame of ``out`` in place by K^2 / (in-image pixels per
+    window), partial convolution's factor; the interior's is 1. The frame is
+    where an edge cuts the window: the rows whose window count is below K,
+    and in the other rows the columns whose count is below K."""
     m = half_width(k)
-    h, w = out.shape
-    rows, cols = _window_counts(h, k), _window_counts(w, k)
-    # Rows [top, bottom) and columns [left, right) have full window counts.
-    top, left = min(m, h), min(m, w)
-    bottom, right = max(h - m, top), max(w - m, left)
-    for ys, xs in ((slice(0, top), slice(0, w)), (slice(bottom, h), slice(0, w)),
-                   (slice(top, bottom), slice(0, left)), (slice(top, bottom), slice(right, w))):
-        out[ys, xs] *= (k * k) / np.outer(rows[ys], cols[xs])
+    # In-image cells per K-wide window along each axis.
+    rows, cols = (np.minimum(i, m) + np.minimum(i[::-1], m) + 1 for i in map(np.arange, out.shape))
+    cut_rows, cut_cols = rows < k, cols < k
+    out[cut_rows] *= (k * k) / np.outer(rows[cut_rows], cols)
+    full = ~cut_rows
+    out[np.ix_(full, cut_cols)] *= (k * k) / np.outer(rows[full], cols[cut_cols])
 
 
 def _check_finite(out: np.ndarray, method: str, k: int) -> None:

@@ -1,6 +1,6 @@
 """Row-tiled accumulation against the untiled references, with its tiles
-split over one or more threads, and the full-size arrays each size-keeping
-call allocates."""
+split over one or more threads, the full-size arrays each size-keeping call
+allocates, and output bits that do not depend on the input's memory order."""
 
 import itertools
 import sys
@@ -230,3 +230,27 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
             tracemalloc.stop()
         assert round(peak / field.nbytes) == full_size_arrays
         assert peak <= full_size_arrays * padded_bytes + workers * (engine._TILE_BYTES + 128 * 1024)
+
+
+def outcome(method: str, field, kernel) -> bytes | str:
+    try:
+        return apply_method(method, field, kernel, seed=7).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_output_bits_do_not_depend_on_memory_order(k):
+    # The same field stored row-major, column-major and as a row-strided view
+    # inside a larger array gives the same output bits, or the same error,
+    # for every method: each reads only its own row-major padded copy.
+    for shape in [(3, 4), (6, 3), (k, k), (k + 3, k), (2, 30), (2 * k + 5, 3 * k + 2)]:
+        field, kernel = field_and_kernel(shape, k, seed=k * shape[0] + shape[1])
+        h, w = shape
+        larger = np.zeros((h + 3, w + 5))
+        larger[1:h + 1, 2:w + 2] = field
+        layouts = (np.asfortranarray(field), larger[1:h + 1, 2:w + 2])
+        for method in METHODS:
+            want = outcome(method, field, kernel)
+            for stored in layouts:
+                assert outcome(method, stored, kernel) == want, (method, shape, stored.strides)
