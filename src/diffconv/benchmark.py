@@ -152,10 +152,11 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
         put(0, fld.data)
         with np.errstate(over="ignore", invalid="ignore"):
             for method, s in slot.items():
-                padded = _margin(method, fld.core, k)
-                put(s, padded)
-                if method == "distribution":  # redrawn per kernel below
-                    dist, dist_stats = padded, _distribution_stats(fld.core, k)
+                if method == "distribution":  # its statistics once, a margin per kernel below
+                    dist = _margin("zero", fld.core, k)
+                    dist_stats = _distribution_stats(dist[m:m + h, m:m + w], k)
+                else:
+                    put(s, _margin(method, fld.core, k))
         eps = np.empty((2, len(kernels), len(slot)))
         for j0 in range(0, len(kernels), len(chunk)):
             out = chunk[:len(kernels) - j0]

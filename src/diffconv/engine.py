@@ -84,8 +84,8 @@ def _check_sizes(field: np.ndarray, k: int, method: str) -> None:
 
 
 # Rows per tile are chosen so that one output tile is about this many bytes:
-# the tile, its scratch product and the input rows they read then stay in
-# cache across the K^2 passes.
+# the tile's accumulator, its scratch product and the input rows they read
+# then stay in cache across the K^2 passes.
 _TILE_BYTES = 256 * 1024
 
 
@@ -96,23 +96,32 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _accumulate_rows(src, out, tmp, taps, start: int, stop: int) -> None:
-    # Rows [start, stop) of ``out``, one tile of ``tmp``'s height at a time:
-    # each tap's product is written into ``tmp`` and added to the tile.
-    rows, nx = tmp.shape
+def _accumulate_rows(flat, out, scratch, taps, start: int, stop: int) -> None:
+    # Rows [start, stop) of ``out``, one tile of the scratch pair's height at
+    # a time. The tile is walked at the pitch of the row-major source
+    # ``flat``, so each tap is one contiguous 1-D pass at its flat offset:
+    # its product is written into ``part`` and added to ``acc``. Each tile row
+    # ends in K-1 windows that wrap into the next source row; only the first
+    # nx columns are copied into ``out``.
+    acc, part = scratch
+    rows, pitch = acc.shape
+    nx = out.shape[1]
     for y0 in range(start, stop, rows):
         y1 = min(y0 + rows, stop)
-        tile, part = out[y0:y1], tmp[:y1 - y0]
-        for (a, b), weight in taps:
-            np.multiply(src[y0 + a:y1 + a, b:b + nx], weight, part)
-            tile += part
+        n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
+        src, tile, product = flat[y0 * pitch:], acc.reshape(-1)[:n], part.reshape(-1)[:n]
+        tile.fill(0.0)
+        for offset, weight in taps:
+            np.multiply(src[offset:offset + n], weight, product)
+            tile += product
+        out[y0:y1] = acc[:y1 - y0, :nx]
 
 
 def _accumulate_worker(errors: list, *args) -> None:
     # A new thread starts with numpy's default error state, not the caller's:
     # ignore overflow as every caller does (it checks the output), and hand
     # any exception to the caller, since a lost one would leave the block's
-    # tiles at finite zeros.
+    # rows of the output unwritten.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             _accumulate_rows(*args)
@@ -128,35 +137,38 @@ def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # rounded products in (i, j) order. When the array is stored column-major,
     # the work runs on its transposed view, so every pass reads and writes
     # along the contiguous axis, and the output is returned with the input's
-    # layout.
+    # layout. The passes read the source as one row-major run of values: a
+    # strided input (only ``conv2d_valid`` passes one) is copied once.
     # The tiles are split into n contiguous blocks, n the smaller of the tile
     # count and the CPUs this process may run on: the calling thread runs
-    # block 0 and a thread per block the rest, each into its own scratch tile
+    # block 0 and a thread per block the rest, each into its own scratch pair
     # (numpy's loops release the GIL). A pixel is still computed by one tile
     # alone, so the output bits do not depend on n; one tile starts no thread.
     k = kernel.shape[0]
     flip = abs(field.strides[1]) > abs(field.strides[0])
     src = field.T if flip else field
-    ny, nx = src.shape[0] - k + 1, src.shape[1] - k + 1
-    out = np.zeros((ny, nx), dtype=np.float64)
+    flat, pitch = src.ravel(), src.shape[1]
+    ny, nx = src.shape[0] - k + 1, pitch - k + 1
+    out = np.empty((ny, nx), dtype=np.float64)
     rows = max(1, _TILE_BYTES // (8 * nx))
     tiles = -(-ny // rows)
     blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
-    scratch = np.empty((blocks, min(rows, ny), nx), dtype=np.float64)
-    # Per tap in (i, j) order: its row and column offset in ``src``, and its weight.
-    taps = [((j, i) if flip else (i, j), kernel[i, j]) for i in range(k) for j in range(k)]
+    scratch = np.empty((blocks, 2, min(rows, ny), pitch), dtype=np.float64)
+    # Per tap in (i, j) order: its offset in ``flat``, and its weight.
+    taps = [(j * pitch + i if flip else i * pitch + j, weight)
+            for i, row in enumerate(kernel.tolist()) for j, weight in enumerate(row)]
     if blocks == 1:
-        _accumulate_rows(src, out, scratch[0], taps, 0, ny)
+        _accumulate_rows(flat, out, scratch[0], taps, 0, ny)
         return out.T if flip else out
     starts = [min(block * tiles // blocks * rows, ny) for block in range(blocks + 1)]
     errors = []
     threads = [Thread(target=_accumulate_worker,
-                      args=(errors, src, out, scratch[block], taps, starts[block], starts[block + 1]))
+                      args=(errors, flat, out, scratch[block], taps, starts[block], starts[block + 1]))
                for block in range(1, blocks)]
     for thread in threads:
         thread.start()
     try:
-        _accumulate_rows(src, out, scratch[0], taps, 0, starts[1])
+        _accumulate_rows(flat, out, scratch[0], taps, 0, starts[1])
     finally:
         for thread in threads:
             thread.join()

@@ -1,6 +1,7 @@
 """Row-tiled accumulation against the untiled references, with its tiles
-split over one or more threads, the full-size arrays each size-keeping call
-allocates, and output bits that do not depend on the input's memory order."""
+split over one or more threads, the windows that wrap at the row pitch, the
+full-size arrays each size-keeping call allocates, and output bits that do
+not depend on the input's memory order."""
 
 import itertools
 import sys
@@ -164,7 +165,7 @@ def test_worker_overflow_is_reported_by_the_caller(monkeypatch):
     # pixel sits in field row 27, away from every margin, so only the second
     # block, run by a worker thread, overflows: in the product, before it
     # reaches the output. Without its own error state the worker would warn,
-    # and the warning, raised in the thread, would leave its tiles finite.
+    # and the warning, raised in the thread, would leave its output rows unwritten.
     field = np.zeros((40, 40))
     field[27, 20] = 1e307
     monkeypatch.setattr(engine, "_TILE_BYTES", 4 * 8 * 40)
@@ -210,15 +211,19 @@ def test_partial_frame_rescale_matches_full_scale_map(k):
     (partial_conv2d, 2),  # the zero-padded field and the output
 ])
 def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
-    # Traced peak of one call at 512^2, K = 3, in units of the field's size,
-    # with one and with two workers. Besides the full-size arrays there is
-    # one scratch tile per worker, a few margin-sized arrays and, per worker,
-    # the 64 KiB buffer numpy's multiply allocates for a strided view. An
-    # untiled accumulation adds one full-size product temporary per call, a
-    # stacked padding or a full-size scale map another.
+    # Traced peak of one call at 512^2, K = 3, with one and with two workers.
+    # Besides the full-size arrays there are two pitch-wide scratch tiles per
+    # worker (the product and the accumulator) and a few margin-sized arrays.
+    # An untiled accumulation adds one full-size product temporary per call,
+    # a stacked padding or a full-size scale map another, and the bound is
+    # below one more field.
     field = np.random.default_rng(0).standard_normal((512, 512))
     kernel = np.full((3, 3), 1.0 / 9.0)
     padded_bytes = 514 * 514 * 8
+    # Rows per tile for the narrowest output (510), at the widest pitch (514).
+    scratch_bytes = 2 * 8 * 514 * (engine._TILE_BYTES // (8 * 510))
+    bound = full_size_arrays * padded_bytes + 2 * scratch_bytes
+    assert bound < (full_size_arrays + 1) * field.nbytes
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
         tracemalloc.start()
@@ -228,12 +233,36 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert round(peak / field.nbytes) == full_size_arrays
-        assert peak <= full_size_arrays * padded_bytes + workers * (engine._TILE_BYTES + 128 * 1024)
+        assert full_size_arrays * field.nbytes <= peak
+        assert peak <= full_size_arrays * padded_bytes + workers * scratch_bytes
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_wrapped_windows_never_reach_the_output(monkeypatch, k):
+    # A tile is accumulated at the source's row pitch, so its last K-1
+    # columns per row hold windows that wrap into the next row. Each 1e308
+    # pair, at the end of one row and the start of the next, lies in one
+    # wrapped window, whose sum overflows, but in no valid one: the output
+    # is finite, and the overflow raises nothing and warns nothing.
+    field, _ = field_and_kernel((4 * k, 3 * k), k, seed=k)
+    for row in (2, k + 4):
+        field[row, -1] = field[row + 1, 0] = 1e308
+    kernel = np.ones((k, k))
+    want = reference_accumulate(field, kernel)
+    assert np.all(np.isfinite(want))
+    for workers, tile_rows in itertools.product((1, 2), (1, 2)):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_rows * 8 * want.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_bitwise_equal(conv2d_valid(field, kernel), want)
 
 
 def outcome(method: str, field, kernel) -> bytes | str:
+    # ``method`` is one of METHODS or "conv2d_valid".
     try:
+        if method == "conv2d_valid":
+            return conv2d_valid(field, kernel).tobytes()
         return apply_method(method, field, kernel, seed=7).tobytes()
     except ValueError as exc:
         return str(exc)
@@ -243,14 +272,15 @@ def outcome(method: str, field, kernel) -> bytes | str:
 def test_output_bits_do_not_depend_on_memory_order(k):
     # The same field stored row-major, column-major and as a row-strided view
     # inside a larger array gives the same output bits, or the same error,
-    # for every method: each reads only its own row-major padded copy.
+    # for every method, which reads only its own row-major padded copy, and
+    # for conv2d_valid, which copies a strided field once.
     for shape in [(3, 4), (6, 3), (k, k), (k + 3, k), (2, 30), (2 * k + 5, 3 * k + 2)]:
         field, kernel = field_and_kernel(shape, k, seed=k * shape[0] + shape[1])
         h, w = shape
         larger = np.zeros((h + 3, w + 5))
         larger[1:h + 1, 2:w + 2] = field
         layouts = (np.asfortranarray(field), larger[1:h + 1, 2:w + 2])
-        for method in METHODS:
+        for method in (*METHODS, "conv2d_valid"):
             want = outcome(method, field, kernel)
             for stored in layouts:
                 assert outcome(method, stored, kernel) == want, (method, shape, stored.strides)
