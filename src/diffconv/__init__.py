@@ -10,10 +10,8 @@ convolution, analytic test fields, and a benchmark harness.
 from .benchmark import BenchmarkConfig, derive_seed, l1_error, mse, rows_to_csv, run_benchmark
 from .engine import (
     METHODS,
-    SCHEME_TAGS,
     PaddingScheme,
     apply_method,
-    as_field,
     conv2d_diff,
     conv2d_valid,
     pad,
@@ -21,18 +19,14 @@ from .engine import (
 )
 from .fields import (
     FAMILIES,
-    Field,
     FieldSpec,
     RandomKernelSpec,
-    chebyshev_U,
     generate,
     oracle_convolution,
     random_kernels,
-    spherical_Y,
 )
 from .npyio import ArrayFileError, load_array, save_array
 from .stencils import (
-    SUPPORTED_SIZES,
     as_kernel,
     build_bank,
     center_condition_number,
@@ -48,19 +42,14 @@ __all__ = [
     "ArrayFileError",
     "BenchmarkConfig",
     "FAMILIES",
-    "Field",
     "FieldSpec",
     "METHODS",
     "PaddingScheme",
     "RandomKernelSpec",
-    "SCHEME_TAGS",
-    "SUPPORTED_SIZES",
     "apply_method",
-    "as_field",
     "as_kernel",
     "build_bank",
     "center_condition_number",
-    "chebyshev_U",
     "conv2d_diff",
     "conv2d_valid",
     "derive_seed",
@@ -78,6 +67,5 @@ __all__ = [
     "rows_to_csv",
     "run_benchmark",
     "save_array",
-    "spherical_Y",
     "stencil_matrix",
 ]

@@ -259,13 +259,16 @@ def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray
     loop applies :func:`_axis_margin` along each axis: first to either end of
     the field's rows, then to either end of the columns across the whole
     width, so every corner is the rows-then-columns tensor product.
-    ``distribution`` draws per edge from ``seed`` instead."""
+    ``distribution`` draws per edge from ``seed``, a non-negative integer,
+    instead."""
     m = half_width(k)
     _check_sizes(field, k, method)
     h, w = field.shape
     padded = np.zeros((h + 2 * m, w + 2 * m))
     padded[m:m + h, m:m + w] = field
     if method == "distribution":
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"distribution seed must be a non-negative integer, got {seed}")
         _draw_distribution(padded, m, _distribution_stats(padded[m:m + h, m:m + w], k), seed)
     elif _axis_margin(method, 1, k) is not None:
         # Each axis as rows of ``lines``: the n in-image cells lie at [m, m + n).
@@ -356,7 +359,7 @@ def partial_conv2d(field, kernel) -> np.ndarray:
     return apply_method("partial", field, kernel)
 
 
-def pad(field, k: int, scheme) -> np.ndarray:
+def pad(field, k: int, scheme: PaddingScheme) -> np.ndarray:
     """Surround ``field`` with a margin of half-width cells filled per ``scheme``.
 
     Output shape is (H+2M) x (W+2M) with the input verbatim in the center.
@@ -368,8 +371,7 @@ def pad(field, k: int, scheme) -> np.ndarray:
     finite: extrapolation and the distribution's edge statistics can
     overflow on a finite field.
     """
-    chosen = scheme if isinstance(scheme, PaddingScheme) else PaddingScheme(str(scheme))
     with np.errstate(over="ignore", invalid="ignore"):
-        padded = _margin(chosen.tag, as_field(field), k, chosen.seed)
-    _check_finite(padded, chosen.tag, k)
+        padded = _margin(scheme.tag, as_field(field), k, scheme.seed)
+    _check_finite(padded, scheme.tag, k)
     return padded

@@ -75,17 +75,9 @@ class Field:
     margin: int
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0] - 2 * self.margin
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1] - 2 * self.margin
-
-    @property
     def core(self) -> np.ndarray:
         m = self.margin
-        return self.data[m:m + self.height, m:m + self.width]
+        return self.data[m:self.data.shape[0] - m, m:self.data.shape[1] - m]
 
 
 @dataclass(frozen=True)
@@ -202,4 +194,4 @@ def oracle_convolution(field: Field, kernel) -> np.ndarray:
         )
     full = conv2d_valid(field.data, ker)
     off = field.margin - m_half
-    return full[off:off + field.height, off:off + field.width]
+    return full[off:full.shape[0] - off, off:full.shape[1] - off]

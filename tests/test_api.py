@@ -1,4 +1,5 @@
-"""Every public symbol has a caller outside the tests."""
+"""Every public symbol has a caller outside the tests; every exported name
+has one outside the module that defines it."""
 
 import ast
 import dataclasses
@@ -8,35 +9,52 @@ from pathlib import Path
 import diffconv
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diffconv"
 
 
 def _program_files() -> list[Path]:
-    package = [p for p in (ROOT / "src" / "diffconv").glob("*.py") if p.name != "__init__.py"]
+    package = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     bench = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
     return sorted(package + bench)
 
 
 def _referenced_names(path: Path) -> set[str]:
-    # Uses only: a name read, or an attribute looked up. Definitions and
-    # imports alone do not count.
+    # Uses only: a name read, an attribute looked up, or a call keyword.
+    # Definitions and imports alone do not count.
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
     return names
 
 
-def _used_names() -> set[str]:
+def _names_per_file() -> dict[Path, set[str]]:
     files = _program_files()
     assert any(p.parent.name == "perfbench" for p in files)
-    return set().union(*(_referenced_names(p) for p in files))
+    return {p: _referenced_names(p) for p in files}
+
+
+def _used_names() -> set[str]:
+    return set().union(*_names_per_file().values())
+
+
+def _defining_files() -> dict[str, Path]:
+    # Each name that ``__init__.py`` imports, and the module it imports it from.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.name: PACKAGE / f"{node.module}.py"
+            for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_every_exported_name_is_used_outside_the_tests():
-    unused = sorted(set(diffconv.__all__) - _used_names())
-    assert not unused, f"exported but never used outside the tests: {unused}"
+    # A module's own uses of a name it exports do not count.
+    home, names = _defining_files(), _names_per_file()
+    unused = sorted(name for name in diffconv.__all__
+                    if not any(name in names[p] for p in names if p != home[name]))
+    assert not unused, f"exported but never used outside the tests and its module: {unused}"
 
 
 def _public_members(cls: type) -> set[str]:

@@ -23,26 +23,26 @@ def test_scheme_validation():
 
 def test_extrapolate_linear_row():
     field = np.array([[1.0, 2.0, 3.0]] * 3)
-    out = pad(field, 3, "extrapolate")
+    out = pad(field, 3, PaddingScheme("extrapolate"))
     assert out.shape == (5, 5)
     assert np.array_equal(out[2], np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
 
 
 def test_replicate_single_pixel():
-    out = pad(np.array([[5.0]]), 3, "replicate")
+    out = pad(np.array([[5.0]]), 3, PaddingScheme("replicate"))
     assert np.array_equal(out, np.full((3, 3), 5.0))
 
 
 def test_reflect_excludes_edge():
     field = np.array([[1.0, 2.0, 3.0]] * 3)
-    out = pad(field, 3, "reflect")
+    out = pad(field, 3, PaddingScheme("reflect"))
     assert np.array_equal(out[2], np.array([2.0, 1.0, 2.0, 3.0, 2.0]))
 
 
 def test_zero_and_circular_rows():
     field = np.array([[1.0, 2.0, 3.0]] * 3)
-    assert np.array_equal(pad(field, 3, "zero")[2], np.array([0.0, 1.0, 2.0, 3.0, 0.0]))
-    assert np.array_equal(pad(field, 3, "circular")[2], np.array([3.0, 1.0, 2.0, 3.0, 1.0]))
+    assert np.array_equal(pad(field, 3, PaddingScheme("zero"))[2], np.array([0.0, 1.0, 2.0, 3.0, 0.0]))
+    assert np.array_equal(pad(field, 3, PaddingScheme("circular"))[2], np.array([3.0, 1.0, 2.0, 3.0, 1.0]))
 
 
 @pytest.mark.parametrize("tag", SCHEME_TAGS)
@@ -60,10 +60,10 @@ def test_pad_preconditions():
     small = np.ones((2, 2))
     for tag in ("reflect", "extrapolate", "distribution"):
         with pytest.raises(ValueError):
-            pad(small, 3, tag)
+            pad(small, 3, PaddingScheme(tag))
     # zero/replicate/circular accept any non-empty field
     for tag in ("zero", "replicate", "circular"):
-        assert pad(small, 3, tag).shape == (4, 4)
+        assert pad(small, 3, PaddingScheme(tag)).shape == (4, 4)
 
 
 @pytest.mark.parametrize("tag,shapes", [
@@ -82,7 +82,7 @@ def test_copied_margins_match_np_pad_bitwise(tag, shapes):
         field = rng.uniform(1.0, 2.0, size=shape)
         field[0, ::2], field[-1, 1::2], field[::2, 0], field[1::2, -1] = -0.0, -0.0, -0.0, -0.0
         want = np.pad(field, 4, mode=NP_PAD_MODES[tag])
-        got = pad(field, 9, tag)
+        got = pad(field, 9, PaddingScheme(tag))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -92,7 +92,7 @@ def test_pad_overflow_is_an_error_naming_the_scheme(tag):
     # A finite field whose extrapolated margin, or whose edge-band mean,
     # overflows float64.
     with pytest.raises(ValueError, match=rf"^{tag} output is not finite for K=9:"):
-        pad(np.full((12, 12), 1e308), 9, tag)
+        pad(np.full((12, 12), 1e308), 9, PaddingScheme(tag))
 
 
 def test_padded_conv_zero_box_blur_counts():
@@ -141,7 +141,7 @@ def test_extrapolation_exact_for_low_degree_polynomials(k):
     rng = np.random.default_rng(23 + k)
     coeffs = rng.uniform(-1.0, 1.0, size=(d + 1, d + 1))
     fld = generate(FieldSpec(family="polynomial", height=12, width=11, coeffs=coeffs, margin=m))
-    padded = pad(fld.core, k, "extrapolate")
+    padded = pad(fld.core, k, PaddingScheme("extrapolate"))
     scale = np.max(np.abs(fld.data))
     assert np.max(np.abs(padded - fld.data)) <= 1e-9 * scale
 
@@ -179,6 +179,16 @@ def test_distribution_stream_is_pcg64_in_fixed_order(k):
             want = np.mean(band) + np.std(band, ddof=1) * rng.standard_normal(size)
             assert margin.tobytes() == want.tobytes(), (name, shape)
         assert got[m:-m, m:-m].tobytes() == field.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_distribution_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    field = np.ones((5, 5))
+    message = rf"^distribution seed must be a non-negative integer, got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        apply_method("distribution", field, np.ones((3, 3)), seed=seed)
+    with pytest.raises(ValueError, match=message):
+        pad(field, 3, PaddingScheme("distribution", seed=seed))
 
 
 def test_distribution_corners_use_row_band_statistics():

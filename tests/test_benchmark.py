@@ -262,9 +262,26 @@ def test_each_call_validates_its_field_once(monkeypatch, method):
         assert scanned == [(11, 13)]
         return
     if method == "pad":
-        engine.pad(fld.core, 3, "reflect")
+        engine.pad(fld.core, 3, engine.PaddingScheme("reflect"))
     elif method in METHODS:
         apply_method(method, fld.core, kernel, seed=4)
     else:  # the public wrappers around apply_method
         getattr(engine, method)(fld.core, kernel)
     assert scanned == [(9, 11)]
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"family": "polynomial"}, "benchmark family must be 'chebyshev' or 'spherical', got 'polynomial'"),
+    ({"orders": ()}, r"orders must be a non-empty list of integers >= 1, got \(\)"),
+    ({"orders": (0, 1, 2)}, r"orders must be a non-empty list of integers >= 1, got \(0, 1, 2\)"),
+    ({"filter_count": 0}, "filter count must be >= 1, got 0"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"size": 4}, r"kernel size must be one of \(3, 5, 7, 9\), got 4"),
+    ({"height": 2}, "field 2x8 is smaller than the kernel size 3"),
+    ({"width": 6, "size": 7}, "field 8x6 is smaller than the kernel size 7"),
+])
+def test_config_rejects_each_constraint_by_name(change, message):
+    valid = dict(family="chebyshev", orders=(1,), height=8, width=8, size=3, filter_count=1, seed=0)
+    BenchmarkConfig(**valid)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BenchmarkConfig(**{**valid, **change})

@@ -60,6 +60,17 @@ def test_kernels_rejects_bad_position(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("pos,message", [
+    ("1", "position must be 'R,S', got '1'"),
+    ("0,1,2", "position must be 'R,S', got '0,1,2'"),
+    ("a,1", "position must be two integers, got 'a,1'"),
+])
+def test_kernels_rejects_a_malformed_position(runner, pos, message):
+    result = runner.invoke(main, ["kernels", "--size", "3", "--pos", pos])
+    assert result.exit_code == 2
+    assert message in result.stderr
+
+
 def test_make_kernel_laplace(runner, tmp_path):
     out = tmp_path / "lap.npy"
     result = runner.invoke(
@@ -102,6 +113,19 @@ def test_make_kernel_rejects_bad_op(runner, tmp_path):
     assert result.exit_code == 2
     result = runner.invoke(main, ["make-kernel", "--size", "3", "--op", "zz", "--output", str(out)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("op,message", [
+    ("20:x", "operator value in '20:x' is not a number"),
+    ("", "no operator entries given"),
+    (" , ", "no operator entries given"),
+])
+def test_make_kernel_rejects_a_non_number_and_an_empty_op(runner, tmp_path, op, message):
+    out = tmp_path / "x.npy"
+    result = runner.invoke(main, ["make-kernel", "--size", "3", "--op", op, "--output", str(out)])
+    assert result.exit_code == 2
+    assert message in result.stderr
+    assert not out.exists()
 
 
 def test_make_kernel_rejects_repeated_index(runner, tmp_path):
@@ -459,6 +483,18 @@ def test_compare_rejects_bad_orders(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["compare", "--orders", "abc"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--orders", "0:2"], "orders must be a non-empty list of integers >= 1, got (0, 1, 2)"),
+    (["--filters", "0"], "filter count must be >= 1, got 0"),
+    (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["--height", "2"], "field 2x128 is smaller than the kernel size 3"),
+])
+def test_compare_rejects_each_config_constraint(runner, args, message):
+    result = runner.invoke(main, ["compare", *args])
+    assert result.exit_code == 2
+    assert message in result.stderr
 
 
 @pytest.mark.parametrize("methods,message", [

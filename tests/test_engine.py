@@ -298,3 +298,21 @@ def test_empty_field_is_rejected_naming_the_method(method, shape):
 def test_diff_rejects_undersized_field():
     with pytest.raises(ValueError):
         conv2d_diff(np.ones((4, 2)), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("field,message", [
+    (np.ones(5), r"^field must be a 2D array, got shape \(5,\)$"),
+    (np.ones((2, 3, 3)), r"^field must be a 2D array, got shape \(2, 3, 3\)$"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), r"^field entries must be finite$"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), r"^field entries must be finite$"),
+])
+def test_field_that_is_not_2d_or_not_finite_is_rejected(field, message):
+    with pytest.raises(ValueError, match=message):
+        conv2d_valid(field, np.ones((3, 3)))
+    with pytest.raises(ValueError, match=message):
+        apply_method("zero", field, np.ones((3, 3)))
+
+
+def test_unknown_method_is_rejected_naming_the_methods():
+    with pytest.raises(ValueError, match=r"^unknown method 'mirror'; expected one of \('diff',"):
+        apply_method("mirror", np.ones((5, 5)), np.ones((3, 3)))

@@ -56,6 +56,12 @@ def test_spherical_rejects_order_above_degree():
         spherical_Y(2, 3, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("l,m", [(-1, 0), (2, -1)])
+def test_spherical_rejects_a_negative_degree_or_order(l, m):
+    with pytest.raises(ValueError, match=rf"^degree and order must be >= 0, got l={l}, m={m}$"):
+        spherical_Y(l, m, 0.0, 0.0)
+
+
 def test_spherical_orthonormality_by_quadrature():
     # independent check of the normalization: integrate Y^2 over the sphere
     n_t, n_p = 400, 400
@@ -135,6 +141,12 @@ def test_field_spec_validation():
         FieldSpec(family="polynomial", height=3, width=3)
     with pytest.raises(ValueError):
         FieldSpec(family="gaussian", height=3, width=3, order=1)
+
+
+@pytest.mark.parametrize("coeffs", [np.ones(3), np.ones((2, 2, 2)), 1.0])
+def test_field_spec_rejects_a_coefficient_table_that_is_not_2d(coeffs):
+    with pytest.raises(ValueError, match="^polynomial coefficients must be a 2D table$"):
+        FieldSpec(family="polynomial", height=3, width=3, coeffs=coeffs)
 
 
 @pytest.mark.parametrize("family", ["chebyshev", "spherical"])

@@ -5,6 +5,7 @@ not depend on the input's memory order."""
 
 import itertools
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -174,6 +175,32 @@ def test_worker_overflow_is_reported_by_the_caller(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"diff output is not finite for K=9: .*3\.002e\+08"):
             conv2d_diff(field, np.full((9, 9), 100.0))
+
+
+@pytest.mark.parametrize("failing_start", [5, 0])
+def test_a_block_exception_is_raised_by_the_caller(monkeypatch, failing_start):
+    # Ten one-row tiles in two blocks: block 0 (rows 0-4) runs in the calling
+    # thread, block 1 (rows 5-9) in a worker. Whichever block raises, the
+    # call raises that exception once every worker has been joined.
+    class BlockFailed(Exception):
+        pass
+
+    accumulate_rows = engine._accumulate_rows
+
+    def failing_rows(flat, out, scratch, taps, start, stop):
+        if start == failing_start:
+            raise BlockFailed(start)
+        accumulate_rows(flat, out, scratch, taps, start, stop)
+
+    field, kernel = field_and_kernel((12, 12), 3, seed=0)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 10)
+    monkeypatch.setattr(engine, "_accumulate_rows", failing_rows)
+    threads = threading.active_count()
+    with pytest.raises(BlockFailed) as raised:
+        conv2d_valid(field, kernel)
+    assert raised.value.args == (failing_start,)
+    assert threading.active_count() == threads
 
 
 def test_one_tile_starts_no_thread(monkeypatch):

@@ -91,6 +91,16 @@ def test_kernel_from_operator_unit_is_identity_kernel():
     assert np.array_equal(kernel_from_operator(alpha), identity_kernel(3))
 
 
+@pytest.mark.parametrize("coeffs,message", [
+    (np.ones((3, 3)), r"coefficients must be a 1D vector, got shape \(3, 3\)"),
+    (np.ones(8), "coefficient vector length 8 is not a square"),
+    (np.array([1.0] * 8 + [np.nan]), "coefficients must be finite"),
+])
+def test_kernel_from_operator_rejects_bad_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kernel_from_operator(coeffs)
+
+
 def test_kernel_from_operator_laplace():
     # oracle: exact sum of the two second-derivative stencils at the center
     oracle = (
