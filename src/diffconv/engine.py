@@ -371,6 +371,8 @@ def pad(field, k: int, scheme: PaddingScheme) -> np.ndarray:
     finite: extrapolation and the distribution's edge statistics can
     overflow on a finite field.
     """
+    if not isinstance(scheme, PaddingScheme):
+        raise ValueError(f"pad takes a PaddingScheme, got {scheme!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         padded = _margin(scheme.tag, as_field(field), k, scheme.seed)
     _check_finite(padded, scheme.tag, k)

@@ -1,22 +1,22 @@
 """Minimal NPY v1.0 array files: 2D little-endian float64, C order, nothing else.
 
-The writer emits exactly this subset; the reader validates every header field
-and rejects anything outside it with a message naming the violated constraint.
-Round trips are bitwise lossless. Files are written through
-:func:`write_atomic`, which the CLI also uses for its text outputs.
+Headers are read and written by numpy's own :mod:`numpy.lib.format`. The writer
+emits exactly this subset; the reader rejects anything outside it with a
+message naming the violated constraint. Round trips are bitwise lossless.
+Files are written through :func:`write_atomic`, as are the CLI's text outputs.
 """
 
 from __future__ import annotations
 
-import ast
+import io
 import os
 import secrets
+import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
-
-_MAGIC = b"\x93NUMPY"
-_VERSION = bytes([1, 0])
+from numpy.lib import format as npy_format
 
 
 class ArrayFileError(ValueError):
@@ -51,64 +51,45 @@ def save_array(path, array) -> None:
     if arr.ndim != 2:
         raise ArrayFileError(f"only 2D arrays are supported, got shape {arr.shape}")
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    header = (
-        "{'descr': '<f8', 'fortran_order': False, "
-        f"'shape': ({arr.shape[0]}, {arr.shape[1]}), }}"
-    )
-    prefix_len = len(_MAGIC) + len(_VERSION) + 2
-    total = prefix_len + len(header) + 1
-    header = header + " " * (-total % 64) + "\n"
-    write_atomic(path, [
-        _MAGIC,
-        _VERSION,
-        len(header).to_bytes(2, "little"),
-        header.encode("latin1"),
-        arr.reshape(-1).view(np.uint8),
-    ])
+    header = io.BytesIO()
+    npy_format.write_array_header_1_0(header, npy_format.header_data_from_array_1_0(arr))
+    write_atomic(path, [header.getvalue(), arr.reshape(-1).view(np.uint8)])
 
 
 def load_array(path) -> np.ndarray:
-    """Read an NPY file, accepting only v1.0 / '<f8' / C order / 2D."""
+    """Read an NPY file, accepting only v1.0 / little-endian float64 / C order / 2D
+    (any descr numpy reads as '<f8': '<d', and 'f8' on a little-endian host, too)."""
     with Path(path).open("rb") as fh:
-        prefix = fh.read(10)
-        if len(prefix) < 10 or prefix[:6] != _MAGIC:
-            raise ArrayFileError(f"{path}: not an NPY file (bad magic)")
-        if prefix[6:8] != _VERSION:
-            raise ArrayFileError(
-                f"{path}: unsupported NPY version {prefix[6]}.{prefix[7]}; only 1.0 is supported"
-            )
-        header_len = int.from_bytes(prefix[8:10], "little")
-        text = fh.read(header_len)
-        if len(text) < header_len:
-            raise ArrayFileError(f"{path}: truncated header")
         try:
-            header = ast.literal_eval(text.decode("latin1"))
-        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
-            # literal_eval raises TypeError for an unhashable key, and
-            # MemoryError or RecursionError for deeply nested input.
-            raise ArrayFileError(f"{path}: malformed header dict") from exc
-        if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
-            raise ArrayFileError(f"{path}: malformed header dict")
-        if header["descr"] != "<f8":
-            raise ArrayFileError(
-                f"{path}: dtype {header['descr']!r} is not supported; only '<f8' "
-                f"(little-endian float64)"
-            )
-        if header["fortran_order"] is not False:
+            version = npy_format.read_magic(fh)
+        except ValueError as exc:
+            raise ArrayFileError(f"{path}: not an NPY file (bad magic)") from exc
+        if version != (1, 0):
+            raise ArrayFileError(f"{path}: unsupported NPY version {version[0]}.{version[1]}; "
+                                 "only 1.0 is supported")
+        # Warnings are errors: numpy accepts a Python 2 header with a UserWarning.
+        # 1 << 16 exceeds any v1.0 header, whose length field has 2 bytes.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                shape, fortran, dtype = npy_format.read_array_header_1_0(fh, max_header_size=1 << 16)
+        except (ValueError, TypeError, IndexError, SyntaxError, MemoryError, RecursionError,
+                tokenize.TokenError, Warning) as exc:
+            reason = "truncated header" if str(exc).startswith("EOF") else "malformed header dict"
+            raise ArrayFileError(f"{path}: {reason}") from exc
+        if dtype.str != "<f8":
+            raise ArrayFileError(f"{path}: dtype {dtype.str!r} is not supported; "
+                                 "only '<f8' (little-endian float64)")
+        if fortran:
             raise ArrayFileError(f"{path}: Fortran-order arrays are not supported")
-        shape = header["shape"]
-        if (
-            not isinstance(shape, tuple)
-            or len(shape) != 2
-            or not all(type(n) is int and n >= 0 for n in shape)
-        ):
+        # numpy takes True for a shape entry; it is not a size here.
+        if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
             raise ArrayFileError(f"{path}: shape {shape!r} is not 2D (two non-negative integers)")
         expected = 8 * shape[0] * shape[1]
-        payload = os.fstat(fh.fileno()).st_size - 10 - header_len
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != expected:
-            raise ArrayFileError(
-                f"{path}: payload is {payload} bytes, expected {expected} for shape {shape}"
-            )
+            raise ArrayFileError(f"{path}: payload is {payload} bytes, "
+                                 f"expected {expected} for shape {shape}")
         try:
             arr = np.empty(shape, dtype="<f8")
         except ValueError as exc:

@@ -64,6 +64,9 @@ def test_pad_preconditions():
     # zero/replicate/circular accept any non-empty field
     for tag in ("zero", "replicate", "circular"):
         assert pad(small, 3, PaddingScheme(tag)).shape == (4, 4)
+    # A bare tag is not a scheme; the message names pad and the type it takes.
+    with pytest.raises(ValueError, match="pad takes a PaddingScheme, got 'zero'"):
+        pad(np.ones((5, 5)), 3, "zero")
 
 
 @pytest.mark.parametrize("tag,shapes", [

@@ -1,9 +1,11 @@
 import os
 import stat
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffconv import npyio
@@ -82,6 +84,22 @@ def test_saved_file_gets_the_permissions_of_a_plain_open(tmp_path):
     assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o640
 
 
+@pytest.mark.parametrize("shape,header", [
+    ((3, 4), b"{'descr': '<f8', 'fortran_order': False, 'shape': (3, 4), }" + b" " * 58 + b"\n"),
+    ((0, 5), b"{'descr': '<f8', 'fortran_order': False, 'shape': (0, 5), }" + b" " * 58 + b"\n"),
+    ((1000, 1037),
+     b"{'descr': '<f8', 'fortran_order': False, 'shape': (1000, 1037), }" + b" " * 52 + b"\n"),
+])
+def test_writer_header_bytes_are_pinned(tmp_path, shape, header):
+    # The header comes from numpy, so a numpy whose padding differs would change
+    # every file written. 118 header bytes put the payload at offset 128.
+    path = tmp_path / "p.npy"
+    save_array(path, np.ones(shape))
+    data = path.read_bytes()
+    assert data[:128] == b"\x93NUMPY\x01\x00\x76\x00" + header
+    assert data[128:] == np.ones(shape).tobytes()
+
+
 def test_writer_rejects_non_2d():
     with pytest.raises(ArrayFileError):
         save_array("/tmp/unused.npy", np.zeros(5))
@@ -127,6 +145,16 @@ def test_reader_rejects_other_ranks(tmp_path, shape):
         load_array(path)
 
 
+@pytest.mark.parametrize("keep", [9, 60])
+def test_reader_rejects_truncated_header(tmp_path, keep):
+    # Cut inside the length field, or inside the header it announces.
+    path = tmp_path / "h.npy"
+    save_array(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ArrayFileError, match="truncated header"):
+        load_array(path)
+
+
 def test_reader_rejects_truncated_payload(tmp_path):
     path = tmp_path / "t.npy"
     save_array(path, np.ones((4, 4)))
@@ -154,6 +182,54 @@ def test_reader_rejects_unhashable_header_key(tmp_path):
     _npy_file(path, "{'descr': '<f8', []: 1}")
     with pytest.raises(ArrayFileError, match="malformed header dict"):
         load_array(path)
+
+
+@pytest.mark.parametrize("descr", ["()", "('<f8',)", "'a'"])
+def test_reader_rejects_a_descr_numpy_cannot_read(tmp_path, descr):
+    # numpy raises IndexError for the tuples, and numpy 2 deprecates 'a'.
+    path = tmp_path / "d.npy"
+    _npy_file(path, f"{{'descr': {descr}, 'fortran_order': False, 'shape': (2, 2), }}\n",
+              b"\x00" * 32)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArrayFileError):
+            load_array(path)
+    assert caught == []
+
+
+def test_reader_rejects_python2_header_without_a_warning(tmp_path):
+    # numpy rewrites '3L' to '3' and accepts the header with a UserWarning.
+    path = tmp_path / "py2.npy"
+    _npy_file(path, "{'descr': '<f8', 'fortran_order': False, 'shape': (3L, 4L), }\n",
+              b"\x00" * 96)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArrayFileError, match="malformed header dict"):
+            load_array(path)
+    assert caught == []
+
+
+@pytest.mark.parametrize("descr", ["<d", "f8"])
+def test_reader_takes_other_spellings_of_little_endian_float64(tmp_path, descr):
+    arr = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 5))
+    arr[0, :2] = -0.0, 2.0**-1074
+    path = tmp_path / "d.npy"
+    _npy_file(path, f"{{'descr': '{descr}', 'fortran_order': False, 'shape': (3, 5), }}\n",
+              arr.astype("<f8").tobytes())
+    if descr == "f8" and sys.byteorder != "little":
+        with pytest.raises(ArrayFileError, match="dtype '>f8'"):
+            load_array(path)
+        return
+    assert load_array(path).tobytes() == arr.tobytes()
+
+
+def test_reader_loads_a_padded_header_beyond_numpys_default_limit(tmp_path):
+    # numpy refuses headers over 10,000 bytes by default; a v1.0 header may
+    # have up to 65,535.
+    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), }"
+    path = tmp_path / "pad.npy"
+    _npy_file(path, header + " " * (20000 - len(header) - 1) + "\n", np.arange(4.0).tobytes())
+    assert load_array(path).tobytes() == np.arange(4.0).reshape(2, 2).tobytes()
 
 
 def test_reader_rejects_bool_shape_entries(tmp_path):
@@ -229,6 +305,8 @@ def _bytes_after_magic_and_version(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tail=_bytes_after_magic_and_version())
+# A header that fails to tokenize: numpy raises tokenize.TokenError for it.
+@example(tail=b"\x02\x00(,)")
 def test_reader_fuzz_loads_or_raises_array_file_error(tmp_path_factory, tail):
     path = tmp_path_factory.getbasetemp() / "fuzz.npy"
     path.write_bytes(b"\x93NUMPY\x01\x00" + tail)
