@@ -7,9 +7,9 @@ truth. Per-kernel random streams are keyed by (seed, order, kernel index), so
 results are identical no matter how the work is scheduled.
 
 Both error metrics are :func:`running_mean`: the left-to-right running sum
-of the per-pixel errors in row-major order (``np.add.accumulate``, whose
-order is fixed) over the pixel count. A zero error adds nothing to that sum,
-so summing only the non-zero pixels, in the same order, gives the same bits.
+of the per-pixel errors in row-major order (``np.add.accumulate``'s order,
+summed lane by lane) over the pixel count. A zero error adds nothing to that
+sum, so summing only the non-zero pixels, in the same order, gives the same bits.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import numpy as np
 from .engine import (
     METHODS,
     _TILE_BYTES,
-    _accumulate,
     _check_finite,
     _distribution_stats,
     _draw_distribution,
     _margin,
+    _prepare,
     _rescale_frame,
 )
 from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
@@ -84,8 +84,15 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def running_mean(err: np.ndarray, count: int) -> np.ndarray:
     """The left-to-right running sum of ``err`` along its last axis, divided
-    by ``count``; leading axes are a batch."""
-    return np.add.accumulate(err, axis=-1)[..., -1] / count
+    by ``count``; leading axes are a batch. numpy adds in order down an
+    axis that is not the fast one, and pairwise along the fast one, so the
+    sum runs down a C-contiguous pixel-major copy: a lane per batch entry,
+    and a zero guard lane when there is only one."""
+    pixel_major = err.reshape(-1, err.shape[-1]).T
+    n, used = pixel_major.shape
+    lanes = np.empty((n, max(used, 2)))
+    lanes[:, :used], lanes[:, used:] = pixel_major, 0.0
+    return np.add.reduce(lanes, axis=0)[:used].reshape(err.shape[:-1]) / count
 
 
 def l1_error(a, b) -> float:
@@ -113,14 +120,16 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     arithmetic per pixel as the full convolution. Every slot's (the
     oracle's and each method's) top and bottom bands lie side by side in one
     C-contiguous strip, the left and right bands, transposed, in another.
-    A kernel is one accumulation per strip; with 2m zero columns at each
-    strip's end, its output reshapes to (m, slots, 2, W+2m) or
-    (m, slots, 2, H+2m), each band's last 2m outputs straddling a seam, and
-    its slices are copied into views of every slot's row-major frame. Per
-    chunk of kernels (``_TILE_BYTES`` of frame values, or one kernel's), eps1
-    and eps2 are the ``running_mean`` over H*W of the frame pixels' errors in
-    row-major order, so they are bitwise ``l1_error`` and ``mse`` of each
-    method's ``apply_method`` output against ``oracle_convolution``.
+    Each strip's accumulation is prepared once and run per kernel on the
+    strip as each order and ``distribution`` draw rewrote it. With 2m zero
+    columns at each strip's end, its output reshapes to (m, slots, 2, W+2m)
+    or (m, slots, 2, H+2m), each band's last 2m outputs straddling a seam,
+    and its slices are copied into views of every slot's row-major frame.
+    Per chunk of kernels (``_TILE_BYTES`` of frame values, or one kernel's),
+    eps1 and eps2 are the ``running_mean`` over H*W of the frame pixels'
+    errors in row-major order, a lane per (kernel, method), so they are
+    bitwise ``l1_error`` and ``mse`` of each method's ``apply_method`` output
+    against ``oracle_convolution``.
     """
     k, h, w = config.size, config.height, config.width
     m = half_width(k)
@@ -135,6 +144,10 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     scale = scale[frame]
     strips = [np.zeros((3 * m, slots * 2 * (size + 2 * m) + 2 * m)) for size in (w, h)]
     tb, lr = (strip[:, :-2 * m].reshape(3 * m, slots, 2, -1) for strip in strips)
+    # Each strip's accumulation, prepared once; the views its frame is copied from.
+    (tb_out, run_tb), (lr_out, run_lr) = _prepare(strips[0], k), _prepare(strips[1].T, k)
+    tb_out = tb_out.reshape(m, slots, 2, w + 2 * m)[..., :w]
+    sides_out = lr_out.T.reshape(m, slots, 2, h + 2 * m)[..., m:h - m]
 
     def put(s: int, padded: np.ndarray) -> None:  # the 3m-wide bands into slot s
         tb[:, s, 0], tb[:, s, 1] = padded[:3 * m], padded[-3 * m:]
@@ -165,10 +178,10 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
                     if "distribution" in slot:
                         _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
                         put(slot["distribution"], dist)
-                    tb_out = _accumulate(strips[0], ker).reshape(m, slots, 2, w + 2 * m)
-                    lr_out = _accumulate(strips[1].T, ker).T.reshape(m, slots, 2, h + 2 * m)
-                    top[j - j0], bottom[j - j0] = tb_out[:, :, 0, :w], tb_out[:, :, 1, :w]
-                    sides[j - j0] = lr_out[..., m:h - m]
+                    run_tb(ker)
+                    run_lr(ker)
+                    top[j - j0], bottom[j - j0] = tb_out[:, :, 0], tb_out[:, :, 1]
+                    sides[j - j0] = sides_out
                 if "partial" in slot:
                     out[:, slot["partial"]] *= scale
             if not np.isfinite(out).all():

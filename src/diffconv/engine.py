@@ -96,25 +96,18 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _accumulate_rows(flat, out, scratch, taps, start: int, stop: int) -> None:
-    # Rows [start, stop) of ``out``, one tile of the scratch pair's height at
-    # a time. The tile is walked at the pitch of the row-major source
-    # ``flat``, so each tap is one contiguous 1-D pass at its flat offset:
-    # its product is written into ``part`` and added to ``acc``. Each tile row
-    # ends in K-1 windows that wrap into the next source row; only the first
-    # nx columns are copied into ``out``.
-    acc, part = scratch
-    rows, pitch = acc.shape
-    nx = out.shape[1]
-    for y0 in range(start, stop, rows):
-        y1 = min(y0 + rows, stop)
-        n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
-        src, tile, product = flat[y0 * pitch:], acc.reshape(-1)[:n], part.reshape(-1)[:n]
+def _accumulate_rows(tiles, offsets, weights) -> None:
+    # One block's prepared (source, n, tile, product, rows, done) tiles. Each
+    # tap is one contiguous 1-D pass over the n source values at its offset,
+    # its product written into ``product`` and added to ``tile``; each tile
+    # row ends in K-1 windows that wrap into the next source row, so only its
+    # first nx columns, ``done``, are copied into ``rows`` of the output.
+    for source, n, tile, product, rows, done in tiles:
         tile.fill(0.0)
-        for offset, weight in taps:
-            np.multiply(src[offset:offset + n], weight, product)
+        for offset, weight in zip(offsets, weights):
+            np.multiply(source[offset:offset + n], weight, product)
             tile += product
-        out[y0:y1] = acc[:y1 - y0, :nx]
+        rows[...] = done
 
 
 def _accumulate_worker(errors: list, *args) -> None:
@@ -129,22 +122,20 @@ def _accumulate_worker(errors: list, *args) -> None:
         errors.append(exc)
 
 
-def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Valid product-sum of a 2-D array, accumulated in fixed (i, j) order, so
-    # the per-pixel arithmetic path is identical wherever the same window
-    # appears. Row tiles change only which pixels are in flight at once, not
-    # any pixel's sequence of operations: each starts from 0.0 and adds the
-    # rounded products in (i, j) order. When the array is stored column-major,
-    # the work runs on its transposed view, so every pass reads and writes
-    # along the contiguous axis, and the output is returned with the input's
-    # layout. The passes read the source as one row-major run of values: a
-    # strided input (only ``conv2d_valid`` passes one) is copied once.
-    # The tiles are split into n contiguous blocks, n the smaller of the tile
-    # count and the CPUs this process may run on: the calling thread runs
-    # block 0 and a thread per block the rest, each into its own scratch pair
-    # (numpy's loops release the GIL). A pixel is still computed by one tile
-    # alone, so the output bits do not depend on n; one tile starts no thread.
-    k = kernel.shape[0]
+def _prepare(field: np.ndarray, k: int):
+    # (out, run): the valid product-sum of ``field`` with any K x K kernel,
+    # set up once; ``run(kernel)`` writes it into ``out``, in the input's
+    # layout. Every output starts from 0.0 and adds the rounded products in
+    # (i, j) order, whatever the tiles, so a window's arithmetic is the same
+    # wherever it appears. A column-major array runs on its transposed view,
+    # so every pass runs along the contiguous axis. The source is read in
+    # place as one row-major run, so each run sees what it then holds; a
+    # strided input (only ``conv2d_valid`` passes one) is copied here. The
+    # tiles are split into n blocks, n the smaller of the tile count and the
+    # CPUs this process may run on: the caller runs block 0 and a thread per
+    # block the rest, each in its own scratch pair (numpy's loops release the
+    # GIL). A pixel is computed by one tile alone, so the bits do not depend
+    # on n; one tile starts no thread.
     flip = abs(field.strides[1]) > abs(field.strides[0])
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
@@ -154,27 +145,38 @@ def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     tiles = -(-ny // rows)
     blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
     scratch = np.empty((blocks, 2, min(rows, ny), pitch), dtype=np.float64)
-    # Per tap in (i, j) order: its offset in ``flat``, and its weight.
-    taps = [(j * pitch + i if flip else i * pitch + j, weight)
-            for i, row in enumerate(kernel.tolist()) for j, weight in enumerate(row)]
-    if blocks == 1:
-        _accumulate_rows(flat, out, scratch[0], taps, 0, ny)
-        return out.T if flip else out
+    offsets = [j * pitch + i if flip else i * pitch + j for i in range(k) for j in range(k)]
     starts = [min(block * tiles // blocks * rows, ny) for block in range(blocks + 1)]
-    errors = []
-    threads = [Thread(target=_accumulate_worker,
-                      args=(errors, flat, out, scratch[block], taps, starts[block], starts[block + 1]))
-               for block in range(1, blocks)]
-    for thread in threads:
-        thread.start()
-    try:
-        _accumulate_rows(flat, out, scratch[0], taps, 0, starts[1])
-    finally:
+    work = [[] for _ in range(blocks)]
+    for block, (acc, part) in enumerate(scratch):
+        for y0 in range(starts[block], starts[block + 1], rows):
+            y1 = min(y0 + rows, starts[block + 1])
+            n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
+            work[block].append((flat[y0 * pitch:], n, acc.reshape(-1)[:n], part.reshape(-1)[:n],
+                                out[y0:y1], acc[:y1 - y0, :nx]))
+
+    def run(kernel: np.ndarray) -> None:
+        weights = kernel.ravel().tolist()
+        errors = []
+        threads = [Thread(target=_accumulate_worker, args=(errors, block, offsets, weights))
+                   for block in work[1:]]
         for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return out.T if flip else out
+            thread.start()
+        try:
+            _accumulate_rows(work[0], offsets, weights)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+
+    return (out.T if flip else out), run
+
+
+def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    out, run = _prepare(field, kernel.shape[0])  # prepared, then run once
+    run(kernel)
+    return out
 
 
 def conv2d_valid(field, kernel) -> np.ndarray:

@@ -91,6 +91,20 @@ def test_rows_equal_full_per_cell_definition():
         assert rows_to_csv(rows) == rows_to_csv(expected), config
 
 
+def test_one_call_equals_its_one_order_calls():
+    # The band strips and their prepared accumulations are kept for the whole
+    # call and rewritten in place per order and per distribution draw, so a
+    # call over several orders gives the rows of one call per order.
+    base = BenchmarkConfig(family="spherical", orders=(1, 4, 7), height=23, width=31,
+                           size=9, filter_count=3, seed=17)
+    for config in (base, dataclasses.replace(base, size=3, family="chebyshev", height=31, width=9)):
+        rows = run_benchmark(config)
+        per_order = [row for order in config.orders
+                     for row in run_benchmark(dataclasses.replace(config, orders=(order,)))]
+        assert rows == per_order, config
+        assert rows_to_csv(rows) == rows_to_csv(per_order), config
+
+
 def frame_bytes(config):
     """Bytes of one kernel's frame values in ``run_benchmark``: one float per
     frame pixel for the oracle and each distinct method."""
@@ -124,6 +138,8 @@ def test_rows_equal_full_per_cell_definition_in_chunks(monkeypatch, per_chunk):
         dataclasses.replace(base, size=9, family="spherical"),
         dataclasses.replace(base, height=9, width=31),
         dataclasses.replace(base, height=31, width=9, methods=("partial", "distribution", "diff")),
+        # One method: with one kernel per chunk, each sum has a single lane.
+        dataclasses.replace(base, methods=("diff",)),
     ]
     for config in configs:
         sizes = chunks_of(monkeypatch, per_chunk, config)

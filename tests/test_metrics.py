@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffconv.benchmark import l1_error, mse
+from diffconv.benchmark import l1_error, mse, running_mean
 
 
 def test_identical_fields_have_zero_error():
@@ -80,3 +80,49 @@ def test_zero_iff_equal(seed):
     assert l1_error(a, b) > 0.0
     assert mse(a, b) > 0.0
 
+
+
+def assert_left_to_right_sum(err, count):
+    # The definition: np.add.accumulate's last entry along the last axis,
+    # whose order of additions is fixed, over ``count``; bitwise.
+    want = np.add.accumulate(err, axis=-1)[..., -1] / count
+    got = running_mean(err, count)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def signed_magnitudes(rng, shape):
+    # Signed values from 1e-6 to 1e6 in magnitude, so every rounding differs
+    # with the order of the additions.
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+
+
+@pytest.mark.parametrize("lanes", range(1, 10))
+def test_running_mean_sums_in_order_at_every_lane_count(lanes):
+    # numpy sums pairwise along a contiguous axis, so a single lane is where
+    # an in-order sum is easiest to lose.
+    rng = np.random.default_rng(lanes)
+    for length in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 5000):
+        assert_left_to_right_sum(signed_magnitudes(rng, (lanes, length)), 99)
+        assert_left_to_right_sum(np.abs(signed_magnitudes(rng, (lanes, length))), length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(), (1,), (2,), (1, 1), (3,), (1, 4), (5,), (2, 3), (7,), (2, 4), (3, 3), (9,)]),
+       st.integers(1, 5000), st.integers(0, 2**32 - 1))
+def test_running_mean_sums_in_order_for_any_batch(batch, length, seed):
+    # Batch shapes of 1 to 9 lanes, and the 1-D sum of l1_error and mse.
+    rng = np.random.default_rng(seed)
+    assert_left_to_right_sum(signed_magnitudes(rng, (*batch, length)), length)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_metrics_sum_in_order_at_any_size(height, width, seed):
+    # One lane of height * width pixels, up to 4,900.
+    rng = np.random.default_rng(seed)
+    a, b = (signed_magnitudes(rng, (height, width)) for _ in range(2))
+    d = (a - b).reshape(-1)
+    l1 = np.add.accumulate(np.abs(d))[-1] / d.size
+    sq = np.add.accumulate(d * d)[-1] / d.size
+    assert (l1_error(a, b), mse(a, b)) == (l1, sq)

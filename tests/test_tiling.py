@@ -186,11 +186,13 @@ def test_a_block_exception_is_raised_by_the_caller(monkeypatch, failing_start):
         pass
 
     accumulate_rows = engine._accumulate_rows
+    caller = threading.current_thread()
 
-    def failing_rows(flat, out, scratch, taps, start, stop):
+    def failing_rows(tiles, offsets, weights):
+        start = 0 if threading.current_thread() is caller else 5  # the block's first row
         if start == failing_start:
             raise BlockFailed(start)
-        accumulate_rows(flat, out, scratch, taps, start, stop)
+        accumulate_rows(tiles, offsets, weights)
 
     field, kernel = field_and_kernel((12, 12), 3, seed=0)
     monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
