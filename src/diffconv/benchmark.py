@@ -21,11 +21,11 @@ import numpy as np
 from .engine import (
     METHODS,
     _TILE_BYTES,
+    _band_strips,
     _check_finite,
     _distribution_stats,
     _draw_distribution,
     _margin,
-    _prepare,
     _rescale_frame,
 )
 from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
@@ -118,13 +118,13 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     the error there is exactly 0. On it, each output is the valid
     convolution of the 3m-wide edge bands of the padded field, the same
     arithmetic per pixel as the full convolution. Every slot's (the
-    oracle's and each method's) top and bottom bands lie side by side in one
-    C-contiguous strip, the left and right bands, transposed, in another.
-    Each strip's accumulation is prepared once and run per kernel on the
-    strip as each order and ``distribution`` draw rewrote it. With 2m zero
-    columns at each strip's end, its output reshapes to (m, slots, 2, W+2m)
-    or (m, slots, 2, H+2m), each band's last 2m outputs straddling a seam,
-    and its slices are copied into views of every slot's row-major frame.
+    oracle's and each method's) bands are laid out as ``filter`` lays out
+    one field's (``engine._band_strips``): top and bottom side by side in
+    one C-contiguous strip, left and right, transposed, in another. Each
+    strip's accumulation is prepared once and run per kernel on the strip
+    as each order and ``distribution`` draw rewrote it, and slices of its
+    output, one block per band, are copied into views of every slot's
+    row-major frame.
     Per chunk of kernels (``_TILE_BYTES`` of frame values, or one kernel's),
     eps1 and eps2 are the ``running_mean`` over H*W of the frame pixels'
     errors in row-major order, a lane per (kernel, method), so they are
@@ -142,17 +142,7 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     scale = np.ones((h, w))
     _rescale_frame(scale, k)  # partial's factor per pixel
     scale = scale[frame]
-    strips = [np.zeros((3 * m, slots * 2 * (size + 2 * m) + 2 * m)) for size in (w, h)]
-    tb, lr = (strip[:, :-2 * m].reshape(3 * m, slots, 2, -1) for strip in strips)
-    # Each strip's accumulation, prepared once; the views its frame is copied from.
-    (tb_out, run_tb), (lr_out, run_lr) = _prepare(strips[0], k), _prepare(strips[1].T, k)
-    tb_out = tb_out.reshape(m, slots, 2, w + 2 * m)[..., :w]
-    sides_out = lr_out.T.reshape(m, slots, 2, h + 2 * m)[..., m:h - m]
-
-    def put(s: int, padded: np.ndarray) -> None:  # the 3m-wide bands into slot s
-        tb[:, s, 0], tb[:, s, 1] = padded[:3 * m], padded[-3 * m:]
-        lr[:, s, 0], lr[:, s, 1] = padded[:, :3 * m].T, padded[:, -3 * m:].T
-
+    put, (run_tb, run_lr), ends, sides_out = _band_strips(h, w, k, slots)
     chunk = np.empty((max(1, _TILE_BYTES // (8 * slots * scale.size)), slots, scale.size))
     # Views of each kernel's row-major frames in the band outputs' layout: the top and
     # bottom rows as (m, slots, W), the middle rows' left and right ends as (m, slots, 2, H - 2m).
@@ -162,25 +152,28 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     rows: list[tuple] = []
     for order in config.orders:
         fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
-        put(0, fld.data)
+        put(0, fld.data[m:-m], fld.data)
         with np.errstate(over="ignore", invalid="ignore"):
             for method, s in slot.items():
                 if method == "distribution":  # its statistics once, a margin per kernel below
                     dist = _margin("zero", fld.core, k)
-                    dist_stats = _distribution_stats(dist[m:m + h, m:m + w], k)
+                    dist_rows = dist[m:-m]
+                    dist_stats = _distribution_stats(dist_rows, dist, k)
                 else:
-                    put(s, _margin(method, fld.core, k))
+                    padded = _margin(method, fld.core, k)
+                    put(s, padded[m:-m], padded)
         eps = np.empty((2, len(kernels), len(slot)))
         for j0 in range(0, len(kernels), len(chunk)):
             out = chunk[:len(kernels) - j0]
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, ker in enumerate(kernels[j0:j0 + len(out)], start=j0):
                     if "distribution" in slot:
-                        _draw_distribution(dist, m, dist_stats, derive_seed(config.seed, order, j))
-                        put(slot["distribution"], dist)
+                        _draw_distribution(dist_rows, dist, m, dist_stats,
+                                           derive_seed(config.seed, order, j))
+                        put(slot["distribution"], dist_rows, dist)
                     run_tb(ker)
                     run_lr(ker)
-                    top[j - j0], bottom[j - j0] = tb_out[:, :, 0], tb_out[:, :, 1]
+                    top[j - j0], bottom[j - j0] = ends[:, :, 0], ends[:, :, 1]
                     sides[j - j0] = sides_out
                 if "partial" in slot:
                     out[:, slot["partial"]] *= scale

@@ -12,11 +12,16 @@ pixels determine the result.
 That makes ``diff`` one row of a per-axis margin table (:func:`_axis_margin`)
 shared with the baselines: zero, reflect, replicate, circular, degree-m
 extrapolation, distribution padding and partial convolution. Every method in
-:data:`METHODS` fills a half-width margin (:func:`_margin`, one loop over the
-two axes of its own row-major copy), runs one valid accumulation over the
-result, and ``partial`` then rescales each output whose window an edge cuts
-by the inverse fraction of in-image pixels in that window.
-:func:`apply_method` is the one validated path all of them take.
+:data:`METHODS` fills a half-width margin (:func:`_margin`, one pass along
+each axis of its own row-major padded copy) and runs the valid accumulation
+over the padded field. An output of fewer than 8 row tiles is accumulated
+over that copy. A larger one needs none: its interior is accumulated
+straight from the field into the output, and its m-wide frame from the
+padded field's edge bands (:func:`_margin_pieces`), laid out as two strips
+(:func:`_band_strips`, which ``compare`` runs too). ``partial`` then
+rescales each output whose window an edge cuts by the inverse fraction of
+in-image pixels in that window. :func:`apply_method` is the one validated
+path all of them take.
 
 All products use cross-correlation orientation (no kernel flip), and every
 output pixel is accumulated in the same fixed kernel-index order, so results
@@ -71,16 +76,19 @@ def as_field(field) -> np.ndarray:
     return arr
 
 
-def _check_sizes(field: np.ndarray, k: int, method: str) -> None:
+def _check_inputs(field: np.ndarray, k: int, method: str, seed: int = 0) -> None:
     """Raise ``ValueError`` naming ``method`` unless ``field`` holds what it
     reads: one pixel for the methods whose margin any pixel can fill, one
     complete K x K window for the others, which read a K-wide band next to
-    each edge, and for ``conv2d_valid``."""
+    each edge, and for ``conv2d_valid``; and unless ``distribution``'s
+    ``seed`` is a non-negative integer."""
     h, w = field.shape
     need = 1 if method in ("zero", "replicate", "circular", "partial") else k
     if h < need or w < need:
         what = "one pixel" if need == 1 else f"one complete window ({k}x{k})"
         raise ValueError(f"{method} got a field of shape {h}x{w}; it needs at least {what}")
+    if method == "distribution" and (not isinstance(seed, (int, np.integer)) or seed < 0):
+        raise ValueError(f"distribution seed must be a non-negative integer, got {seed}")
 
 
 # Rows per tile are chosen so that one output tile is about this many bytes:
@@ -122,27 +130,37 @@ def _accumulate_worker(errors: list, *args) -> None:
         errors.append(exc)
 
 
-def _prepare(field: np.ndarray, k: int):
+def _row_tiles(ny: int, nx: int) -> tuple[int, int]:
+    """(rows per tile, tile count) of an ny x nx valid output: one tile's
+    accumulator is about ``_TILE_BYTES``."""
+    rows = max(1, _TILE_BYTES // (8 * nx))
+    return rows, -(-ny // rows)
+
+
+def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     # (out, run): the valid product-sum of ``field`` with any K x K kernel,
     # set up once; ``run(kernel)`` writes it into ``out``, in the input's
-    # layout. Every output starts from 0.0 and adds the rounded products in
+    # layout: a new array, or the caller's view of the output's shape.
+    # Every output starts from 0.0 and adds the rounded products in
     # (i, j) order, whatever the tiles, so a window's arithmetic is the same
     # wherever it appears. A column-major array runs on its transposed view,
     # so every pass runs along the contiguous axis. The source is read in
     # place as one row-major run, so each run sees what it then holds; a
-    # strided input (only ``conv2d_valid`` passes one) is copied here. The
-    # tiles are split into n blocks, n the smaller of the tile count and the
-    # CPUs this process may run on: the caller runs block 0 and a thread per
-    # block the rest, each in its own scratch pair (numpy's loops release the
-    # GIL). A pixel is computed by one tile alone, so the bits do not depend
-    # on n; one tile starts no thread.
+    # strided input is copied here. The tiles are split into n blocks, n the
+    # smaller of the tile count and the CPUs this process may run on: the
+    # caller runs block 0 and a thread per block the rest, each in its own
+    # scratch pair (numpy's loops release the GIL). A pixel is computed by
+    # one tile alone, so the bits do not depend on n; one tile starts no
+    # thread.
     flip = abs(field.strides[1]) > abs(field.strides[0])
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
     ny, nx = src.shape[0] - k + 1, pitch - k + 1
-    out = np.empty((ny, nx), dtype=np.float64)
-    rows = max(1, _TILE_BYTES // (8 * nx))
-    tiles = -(-ny // rows)
+    if out is None:
+        out = np.empty((ny, nx), dtype=np.float64)
+    elif flip:
+        out = out.T
+    rows, tiles = _row_tiles(ny, nx)
     blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
     scratch = np.empty((blocks, 2, min(rows, ny), pitch), dtype=np.float64)
     offsets = [j * pitch + i if flip else i * pitch + j for i in range(k) for j in range(k)]
@@ -188,7 +206,7 @@ def conv2d_valid(field, kernel) -> np.ndarray:
     arr = as_field(field)
     ker = as_kernel(kernel)
     k = ker.shape[0]
-    _check_sizes(arr, k, "conv2d_valid")
+    _check_inputs(arr, k, "conv2d_valid")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _accumulate(arr, ker)
     _check_finite(out, "conv2d_valid", k)
@@ -227,59 +245,152 @@ def _axis_margin(method: str, n: int, k: int):
     return None
 
 
-def _distribution_stats(field: np.ndarray, k: int) -> tuple[tuple[float, float], ...]:
-    """(mean, sample std with ddof=1) of the left, right, top and bottom edge
-    bands of thickness (K + 1) / 2: the parameters of distribution padding."""
-    thickness = half_width(k) + 1
-    h, w = field.shape
-    bands = (field[:, :thickness], field[:, w - thickness:],
-             field[:thickness, :], field[h - thickness:, :])
+def _edge_cells(n: int, k: int) -> np.ndarray:
+    # The K cells at either end of an n-cell axis, in order; all n when they overlap.
+    return np.concatenate((np.arange(min(k, n)), np.arange(max(k, n - k), n)))
+
+
+def _distribution_stats(tall: np.ndarray, wide: np.ndarray, k: int) -> tuple[tuple[float, float], ...]:
+    """(mean, sample std with ddof=1) of the field's left, right, top and
+    bottom edge bands of thickness (K + 1) / 2, the parameters of distribution
+    padding: the left and right ones read from ``tall``, the top and bottom
+    ones from ``wide`` (:func:`_margin_pieces`, or a padded field's rows and
+    the padded field)."""
+    m = half_width(k)
+    cols, rows = tall[:, m:-m], wide[m:-m, m:-m]
+    bands = (cols[:, :m + 1], cols[:, -m - 1:], rows[:m + 1], rows[-m - 1:])
     return tuple((float(np.mean(band)), float(np.std(band, ddof=1))) for band in bands)
 
 
-def _draw_distribution(padded: np.ndarray, m: int, stats, seed: int) -> None:
-    # Overwrite the margin of ``padded`` with i.i.d. normal draws per edge.
-    # Stream: PCG64 via numpy.random.default_rng(seed), one standard_normal
-    # call split in fixed order left (H, m), right (H, m), top (m, W+2m),
-    # bottom (m, W+2m), so margins depend only on (seed, shape, k).
+def _draw_distribution(tall: np.ndarray, wide: np.ndarray, m: int, stats, seed: int) -> None:
+    # Overwrite the margin of ``tall`` and ``wide`` (as in _distribution_stats)
+    # with i.i.d. normal draws per edge. Stream: PCG64 via
+    # numpy.random.default_rng(seed), one standard_normal call split in fixed
+    # order left (H, m), right (H, m), top (m, W+2m), bottom (m, W+2m), so
+    # margins depend only on (seed, shape, k).
     (mu_l, sd_l), (mu_r, sd_r), (mu_t, sd_t), (mu_b, sd_b) = stats
-    h, w = padded.shape[0] - 2 * m, padded.shape[1]
+    h, w = tall.shape[0], wide.shape[1]
     z = np.random.default_rng(seed).standard_normal(2 * m * (h + w))
     sides, ends = z[:2 * h * m].reshape(2, h, m), z[2 * h * m:].reshape(2, m, w)
-    padded[m:m + h, :m] = mu_l + sd_l * sides[0]
-    padded[m:m + h, w - m:] = mu_r + sd_r * sides[1]
-    padded[:m] = mu_t + sd_t * ends[0]
-    padded[m + h:] = mu_b + sd_b * ends[1]
+    tall[:, :m] = mu_l + sd_l * sides[0]
+    tall[:, -m:] = mu_r + sd_r * sides[1]
+    wide[:m] = mu_t + sd_t * ends[0]
+    wide[-m:] = mu_b + sd_b * ends[1]
+
+
+def _fill_ends(method: str, lines: np.ndarray, k: int) -> None:
+    # Fill the m cells beyond either end of each row of ``lines``, whose
+    # in-image cells lie at [m, len - m), by the method's _axis_margin.
+    m = half_width(k)
+    n = lines.shape[1] - 2 * m
+    margin = _axis_margin(method, n, k)
+    if margin is None:
+        return
+    cells, weights = margin
+    inside = lines[:, m:m + n]
+    for end, near in ((inside, lines[:, m - 1::-1]), (inside[:, ::-1], lines[:, m + n:])):
+        near[...] = end[:, cells] if weights is None else end[:, cells] @ weights
 
 
 def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
-    """The validated ``field`` surrounded by the half-width margin that
-    ``method`` (any of :data:`METHODS`) convolves.
+    """``field`` surrounded by the half-width margin that ``method`` (any of
+    :data:`METHODS`) convolves, for inputs the caller has validated.
 
     The margin starts at zero and is built from the function's own row-major
-    copy alone, so its bits do not depend on how ``field`` is stored. One
-    loop applies :func:`_axis_margin` along each axis: first to either end of
-    the field's rows, then to either end of the columns across the whole
-    width, so every corner is the rows-then-columns tensor product.
-    ``distribution`` draws per edge from ``seed``, a non-negative integer,
-    instead."""
+    copy alone, so its bits do not depend on how ``field`` is stored. The
+    row pass applies :func:`_axis_margin` to either end of the field's rows,
+    the column pass to either end of the columns across the whole width, so
+    every corner is the rows-then-columns tensor product. ``distribution``
+    draws per edge from ``seed`` instead."""
     m = half_width(k)
-    _check_sizes(field, k, method)
     h, w = field.shape
     padded = np.zeros((h + 2 * m, w + 2 * m))
-    padded[m:m + h, m:m + w] = field
+    rows = padded[m:-m]
+    rows[:, m:-m] = field
     if method == "distribution":
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"distribution seed must be a non-negative integer, got {seed}")
-        _draw_distribution(padded, m, _distribution_stats(padded[m:m + h, m:m + w], k), seed)
-    elif _axis_margin(method, 1, k) is not None:
-        # Each axis as rows of ``lines``: the n in-image cells lie at [m, m + n).
-        for lines, n in ((padded[m:m + h], w), (padded.T, h)):
-            cells, weights = _axis_margin(method, n, k)
-            inside = lines[:, m:m + n]
-            for end, near in ((inside, lines[:, m - 1::-1]), (inside[:, ::-1], lines[:, m + n:])):
-                near[...] = end[:, cells] if weights is None else end[:, cells] @ weights
+        _draw_distribution(rows, padded, m, _distribution_stats(rows, padded, k), seed)
+    _fill_ends(method, rows, k)
+    _fill_ends(method, padded.T, k)
     return padded
+
+
+def _margin_pieces(method: str, field: np.ndarray, k: int, seed: int):
+    """(tall, wide): the rows and columns of :func:`_margin`'s padded field
+    that its m-wide frame reads, with the same bits. ``tall`` holds its H
+    field rows at the field's edge columns (:func:`_edge_cells`) with their
+    row margins, ``wide`` its W + 2m columns at the field's edge rows with
+    the top and bottom margins. Both are gathered from ``field``, so the bits
+    do not depend on how it is stored. The passes are :func:`_margin`'s, the
+    column pass over ``wide`` once its edge rows have their row margins."""
+    m = half_width(k)
+    h, w = field.shape
+    rows, cols = _edge_cells(h, k), _edge_cells(w, k)
+    tall = np.zeros((h, cols.size + 2 * m))
+    tall[:, m:-m] = field[:, cols]
+    wide = np.zeros((rows.size + 2 * m, w + 2 * m))
+    wide[m:-m, m:-m] = field[rows]
+    if method == "distribution":
+        _draw_distribution(tall, wide, m, _distribution_stats(tall, wide, k), seed)
+    _fill_ends(method, tall, k)
+    wide[m:-m, :m], wide[m:-m, -m:] = tall[rows, :m], tall[rows, -m:]
+    _fill_ends(method, wide.T, k)
+    return tall, wide
+
+
+def _band_strips(h: int, w: int, k: int, slots: int = 1):
+    """The m-wide output frames of ``slots`` padded h x w fields, from two
+    strips whose passes all run along one long contiguous row: each slot's
+    top and bottom edge bands (min(3m, h + 2m) rows) side by side in one
+    C-contiguous strip, its left and right ones (min(3m, w + 2m) columns),
+    transposed, in another, each strip ending in 2m zero columns. Each window
+    is the padded convolution's own, so every frame pixel has its bits.
+
+    Returns (put, runs, ends, sides): ``put(s, tall, wide)`` copies slot s's
+    bands from :func:`_margin_pieces` or from a padded field's rows and the
+    padded field; ``runs``, each called with the kernel, accumulate the two
+    strips; ``ends`` views the top and bottom min(m, h) frame rows as (rows,
+    slots, 2, w), ``sides`` the left and right min(m, w) frame columns
+    between them, transposed, as (columns, slots, 2, rows). The side bands'
+    margin rows stay zero: only the corner outputs, in ``ends``, read
+    them."""
+    m = half_width(k)
+    bands = [min(3 * m, size + 2 * m) for size in (h, w)]
+    strips = [np.zeros((band, slots * 2 * (size + 2 * m) + 2 * m))
+              for band, size in zip(bands, (w, h))]
+    tb, lr = (strip[:, :-2 * m].reshape(strip.shape[0], slots, 2, -1) for strip in strips)
+    (tb_out, run_tb), (lr_out, run_lr) = _prepare(strips[0], k), _prepare(strips[1].T, k)
+    ends = tb_out.reshape(-1, slots, 2, w + 2 * m)[..., :w]
+    sides = lr_out.T.reshape(-1, slots, 2, h + 2 * m)[..., m:max(m, h - m)]
+    rows, cols = bands
+
+    def put(s: int, tall: np.ndarray, wide: np.ndarray) -> None:
+        tb[:, s, 0], tb[:, s, 1] = wide[:rows], wide[-rows:]
+        lr[:, s, 0, m:-m], lr[:, s, 1, m:-m] = tall[:, :cols].T, tall[:, -cols:].T
+
+    return put, (run_tb, run_lr), ends, sides
+
+
+def _accumulate_unpadded(method: str, field: np.ndarray, kernel: np.ndarray, seed: int) -> np.ndarray:
+    """``apply_method``'s accumulation without a padded copy of ``field``:
+    the interior straight from the field into the output, then the frame
+    from the band strips of the field's margin pieces. Every output pixel
+    has the window and the arithmetic of the padded convolution."""
+    k = kernel.shape[0]
+    m = half_width(k)
+    h, w = field.shape
+    out = np.empty((h, w))
+    # The interior first, so its scratch tiles are freed before the frame's
+    # pieces and strips are made: the call holds one full-size array.
+    if min(h, w) >= k:
+        _prepare(field, k, out[m:-m, m:-m])[1](kernel)
+    put, runs, ends, sides = _band_strips(h, w, k)
+    put(0, *_margin_pieces(method, field, k, seed))
+    for run in runs:
+        run(kernel)
+    t, u = ends.shape[0], sides.shape[0]
+    out[:t], out[h - t:] = ends[:, 0, 0], ends[:, 0, 1]
+    out[m:h - m, :u], out[m:h - m, w - u:] = sides[:, 0, 0].T, sides[:, 0, 1].T
+    return out
 
 
 def _rescale_frame(out: np.ndarray, k: int) -> None:
@@ -315,7 +426,11 @@ def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.nda
 
     The one validated path of every method: validate the field and kernel
     once, fill the margin, accumulate, rescale ``partial``'s frame, then
-    check the output is finite. ``bank`` is accepted for compatibility and
+    check the output is finite. An output of fewer than 8 row tiles is
+    accumulated over one padded copy of the field. A larger one is allocated
+    alone: its interior is accumulated straight from the field into it, and
+    its m-wide frame from band strips of the field's edge bands and their
+    margin, with the same bits. ``bank`` is accepted for compatibility and
     only checked against the kernel size; ``seed`` is only consumed by
     ``distribution``.
     """
@@ -326,8 +441,16 @@ def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.nda
     k = ker.shape[0]
     if bank is not None and np.shape(bank) != (k * k, k, k):
         raise ValueError(f"bank of shape {np.shape(bank)} does not match the {k}x{k} kernel")
+    _check_inputs(arr, k, method, seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _accumulate(_margin(method, arr, k, seed), ker)
+        # The frame's two strip runs cost 4K^2 ufunc calls at any size, the
+        # padded copy grows with the field: without the copy, calls were
+        # measured faster or level at every K from 8 row tiles (512^2) on,
+        # and up to 1.7x slower at one or two tiles (README).
+        if _row_tiles(*arr.shape)[1] >= 8:
+            out = _accumulate_unpadded(method, arr, ker, seed)
+        else:
+            out = _accumulate(_margin(method, arr, k, seed), ker)
         if method == "partial":
             _rescale_frame(out, k)
     _check_finite(out, method, k)
@@ -339,8 +462,10 @@ def conv2d_diff(field, kernel, bank=None) -> np.ndarray:
 
     Computed as the valid convolution of the field extended by degree-(K-1)
     extrapolation, which equals applying the bank kernel for each boundary
-    pixel's in-window position to its nearest complete window. Interior
-    output equals :func:`conv2d_valid` bitwise. ``bank`` (as from
+    pixel's in-window position to its nearest complete window; an output of
+    8 or more row tiles gets no padded copy, since only its frame reads the
+    extension (see :func:`apply_method`). Interior output equals
+    :func:`conv2d_valid` bitwise. ``bank`` (as from
     :func:`diffconv.stencils.build_bank`) is accepted for compatibility and
     only checked against the kernel size.
 
@@ -375,7 +500,9 @@ def pad(field, k: int, scheme: PaddingScheme) -> np.ndarray:
     """
     if not isinstance(scheme, PaddingScheme):
         raise ValueError(f"pad takes a PaddingScheme, got {scheme!r}")
+    arr = as_field(field)
+    _check_inputs(arr, k, scheme.tag, scheme.seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        padded = _margin(scheme.tag, as_field(field), k, scheme.seed)
+        padded = _margin(scheme.tag, arr, k, scheme.seed)
     _check_finite(padded, scheme.tag, k)
     return padded

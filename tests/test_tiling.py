@@ -98,6 +98,44 @@ def test_every_method_matches_untiled_reference(monkeypatch, k, tile_rows):
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_padded_and_unpadded_paths_match_reference(monkeypatch, k):
+    # One tile, or fewer than 8, takes the padded copy; one- and two-row
+    # tiles put every field of at least 8 or 16 rows on the path without one
+    # (interior from the field, frame from band strips). Thin fields have an
+    # empty interior (2 x 40, 40 x 2, and 8 x 40 at K = 9) or a one-row or
+    # one-column one (K x 3K, 3K x K); a field is tried only with the methods
+    # that accept it. A column-major input's interior runs on its transposed
+    # view, a row-strided one's on a copy.
+    shapes = [(2, 40), (8, 40), (40, 2), (k, 3 * k), (3 * k, k), (2 * k + 5, 3 * k + 2)]
+    one_tile = engine._TILE_BYTES
+    unpadded = engine._accumulate_unpadded
+    shapes_unpadded = set()
+
+    def spy(method, field, kernel, seed):
+        shapes_unpadded.add(field.shape)
+        return unpadded(method, field, kernel, seed)
+
+    monkeypatch.setattr(engine, "_accumulate_unpadded", spy)
+    for shape, workers in itertools.product(shapes, (1, 2)):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        field, kernel = field_and_kernel(shape, k, seed=k * shape[0] + shape[1])
+        h, w = shape
+        larger = np.zeros((h + 3, w + 5))
+        larger[1:h + 1, 2:w + 2] = field
+        layouts = (field, np.asfortranarray(field), larger[1:h + 1, 2:w + 2])
+        for method in METHODS:
+            try:
+                engine._check_inputs(field, k, method)
+            except ValueError:
+                continue
+            want = reference_method(method, field, kernel, seed=k)
+            for tile_bytes, stored in itertools.product((one_tile, 8 * w, 16 * w), layouts):
+                monkeypatch.setattr(engine, "_TILE_BYTES", tile_bytes)
+                assert_bitwise_equal(apply_method(method, stored, kernel, seed=k), want)
+    assert shapes_unpadded == {shape for shape in shapes if shape[0] >= 8}
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
 def test_band_stacks_match_untiled_reference(monkeypatch, k):
     # run_benchmark stores its top and bottom bands as one C-contiguous
     # (3m, slots*2*(W + 2m)) strip, every slot's two bands end to end along
@@ -236,16 +274,16 @@ def test_partial_frame_rescale_matches_full_scale_map(k):
 
 @pytest.mark.parametrize("function,full_size_arrays", [
     (conv2d_valid, 1),  # the output
-    (conv2d_diff, 2),  # the padded field and the output
-    (partial_conv2d, 2),  # the zero-padded field and the output
+    (conv2d_diff, 1),  # the output; the interior is accumulated from the field
+    (partial_conv2d, 1),  # the same
 ])
 def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
-    # Traced peak of one call at 512^2, K = 3, with one and with two workers.
-    # Besides the full-size arrays there are two pitch-wide scratch tiles per
-    # worker (the product and the accumulator) and a few margin-sized arrays.
-    # An untiled accumulation adds one full-size product temporary per call,
-    # a stacked padding or a full-size scale map another, and the bound is
-    # below one more field.
+    # Traced peak of one call at 512^2, K = 3 (8 tiles, the fewest that make
+    # no padded copy), with one and with two workers. Besides the full-size
+    # arrays there are two pitch-wide scratch tiles per worker (the product
+    # and the accumulator) and a few margin-sized arrays. An untiled accumulation adds one full-size product
+    # temporary per call, a padded copy, a stacked padding or a full-size
+    # scale map another, and the bound is below one more field.
     field = np.random.default_rng(0).standard_normal((512, 512))
     kernel = np.full((3, 3), 1.0 / 9.0)
     padded_bytes = 514 * 514 * 8
