@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import os
-import secrets
 import tokenize
 import warnings
 from pathlib import Path
@@ -31,7 +30,7 @@ def write_atomic(path, chunks) -> None:
     the complete new file, never a partial one.
     """
     target = Path(path)
-    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     # Mode 0o666 as open(path, "wb") uses, so the umask applies the same way.
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -7,11 +7,11 @@ from diffconv import benchmark, engine, fields
 from diffconv.benchmark import (
     BenchmarkConfig,
     derive_seed,
+    error_means,
     l1_error,
     mse,
     rows_to_csv,
     run_benchmark,
-    running_mean,
 )
 from diffconv.engine import METHODS, apply_method
 from diffconv.fields import (
@@ -114,15 +114,15 @@ def frame_bytes(config):
 
 def chunks_of(monkeypatch, per_chunk, config):
     """Bound ``run_benchmark``'s chunks to ``per_chunk`` kernels, and record
-    how many kernels each reduction sums."""
+    how many kernels each chunk's error sums take."""
     monkeypatch.setattr(benchmark, "_TILE_BYTES", per_chunk * frame_bytes(config))
     sizes = []
 
-    def recording(err, count):
-        sizes.append(len(err))
-        return running_mean(err, count)
+    def recording(d, count):
+        sizes.append(len(d))
+        return error_means(d, count)
 
-    monkeypatch.setattr(benchmark, "running_mean", recording)
+    monkeypatch.setattr(benchmark, "error_means", recording)
     return sizes
 
 
@@ -138,16 +138,42 @@ def test_rows_equal_full_per_cell_definition_in_chunks(monkeypatch, per_chunk):
         dataclasses.replace(base, size=9, family="spherical"),
         dataclasses.replace(base, height=9, width=31),
         dataclasses.replace(base, height=31, width=9, methods=("partial", "distribution", "diff")),
+        # partial's frame from zero's slot, and from a slot of its own.
+        dataclasses.replace(base, methods=("partial", "zero")),
+        dataclasses.replace(base, size=5, methods=("partial",)),
         # One method: with one kernel per chunk, each sum has a single lane.
         dataclasses.replace(base, methods=("diff",)),
     ]
     for config in configs:
         sizes = chunks_of(monkeypatch, per_chunk, config)
         rows = run_benchmark(config)
-        # Two sums (eps1, eps2) per chunk.
+        # One call per chunk sums both eps1 and eps2.
         chunks = [1] * 5 if per_chunk == 1 else [2, 2, 1]
-        assert sizes == [n for n in chunks for _ in range(2)] * len(config.orders), config
+        assert sizes == chunks * len(config.orders), config
         assert rows == full_per_cell_rows(config), config
+
+
+@pytest.mark.parametrize("methods,slots", [
+    (METHODS, 8),  # compare's defaults: the oracle and seven margins
+    (tuple(m for m in METHODS if m != "zero"), 8),  # partial's zero margin is its own
+    (("partial", "diff", "zero", "partial"), 3),
+    (("partial",), 2),
+])
+def test_band_strips_hold_one_slot_per_margin(monkeypatch, methods, slots):
+    # partial is zero padding with its frame rescaled, so it reads zero's
+    # strip slot when zero runs too.
+    band_strips = benchmark._band_strips
+    seen = []
+
+    def recording(h, w, k, count):
+        seen.append(count)
+        return band_strips(h, w, k, count)
+
+    monkeypatch.setattr(benchmark, "_band_strips", recording)
+    config = BenchmarkConfig(family="chebyshev", orders=(1, 2), height=12, width=12,
+                             size=3, filter_count=2, seed=0, methods=methods)
+    run_benchmark(config)
+    assert seen == [slots]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -188,6 +214,19 @@ def test_run_benchmark_reports_any_slots_overflow(monkeypatch, method):
         run_benchmark(config)
 
 
+@pytest.mark.parametrize("methods", [("partial", "zero"), ("zero", "partial")])
+def test_run_benchmark_names_the_first_method_of_a_shared_slot(monkeypatch, methods):
+    # zero's and partial's frames both overflow, from the one zero-margin
+    # slot: methods are checked in the config's order, then the oracle.
+    big = np.finfo(np.float64).max / 2
+    monkeypatch.setattr(benchmark, "generate", huge_fields(big, big))
+    monkeypatch.setattr(benchmark, "random_kernels", ones_kernels)
+    config = BenchmarkConfig(family="chebyshev", orders=(1,), height=12, width=12,
+                             size=3, filter_count=2, seed=0, methods=methods)
+    with pytest.raises(ValueError, match=rf"^{methods[0]} output is not finite for K=3:"):
+        run_benchmark(config)
+
+
 # The message the per-kernel check raises for each slot at K = 3.
 GAINS = {"diff": 9, "extrapolate": 4}
 OVERFLOW_TEXT = {
@@ -216,7 +255,7 @@ def test_run_benchmark_reports_an_overflow_inside_a_chunk(monkeypatch, method, b
     with pytest.raises(ValueError) as raised:
         run_benchmark(config)
     assert str(raised.value) == OVERFLOW_TEXT[method]
-    assert sizes == [2, 2] * (bad // 2)  # the chunks before the bad kernel's
+    assert sizes == [2] * (bad // 2)  # the chunks before the bad kernel's
 
 
 @pytest.mark.parametrize("first", ["oracle", "zero"])

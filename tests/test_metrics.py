@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffconv.benchmark import l1_error, mse, running_mean
+from diffconv.benchmark import error_means, l1_error, mse
 
 
 def test_identical_fields_have_zero_error():
@@ -82,11 +82,13 @@ def test_zero_iff_equal(seed):
 
 
 
-def assert_left_to_right_sum(err, count):
+def assert_left_to_right_sum(d, count):
     # The definition: np.add.accumulate's last entry along the last axis,
-    # whose order of additions is fixed, over ``count``; bitwise.
-    want = np.add.accumulate(err, axis=-1)[..., -1] / count
-    got = running_mean(err, count)
+    # whose order of additions is fixed, over ``count``, of |d| and of d²;
+    # bitwise.
+    want = np.stack([np.add.accumulate(err, axis=-1)[..., -1] / count
+                     for err in (np.abs(d), d * d)])
+    got = error_means(d, count)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
