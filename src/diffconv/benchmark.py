@@ -7,17 +7,16 @@ truth. Per-kernel random streams are keyed by (seed, order, kernel index), so
 results are identical no matter how the work is scheduled.
 
 Both error metrics are the left-to-right running sum of the per-pixel errors
-in row-major order (``np.add.accumulate``'s order, summed lane by lane down
-a :func:`_pixel_major` copy) over the pixel count; :func:`error_means` takes
-both from one copy of the differences. A zero error adds nothing to that
-sum, so summing only the non-zero pixels, in the same order, gives the same
-bits. ``partial`` is zero padding with each cut window reweighted, so its
-frame is computed as ``zero``'s frame times its factor.
+in row-major order (``np.add.accumulate``'s order) over the pixel count;
+:func:`error_means` takes both, lane by lane, from one copy of a chunk's
+differences. A zero error adds nothing to that sum, so summing only the
+non-zero pixels, in the same order, gives the same bits. ``partial`` is zero
+padding with each cut window reweighted, so its frame is computed as
+``zero``'s frame times its factor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,43 +85,38 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _pixel_major(d: np.ndarray) -> np.ndarray:
-    """``d``'s last axis down a C-contiguous copy: a lane per batch entry,
-    and a zero guard lane when there is only one. numpy adds in order down
-    an axis that is not the fast one, and pairwise along the fast one, so
-    ``np.add.reduce(..., axis=0)`` over the copy sums each lane left to
-    right."""
+def error_means(d: np.ndarray, count: int) -> np.ndarray:
+    """The means over ``count`` of |d| and of d², stacked: the left-to-right
+    running sums of each along ``d``'s last axis; leading axes are a batch.
+
+    Both are taken from one C-contiguous copy of ``d`` with its last axis
+    down the rows: a lane per batch entry, and a zero guard lane when there
+    is only one. numpy adds in order down an axis that is not the fast one,
+    and pairwise along the fast one, so ``np.add.reduce(..., axis=0)`` over
+    the copy sums each lane left to right."""
     pixel_major = d.reshape(-1, d.shape[-1]).T
     n, used = pixel_major.shape
     lanes = np.empty((n, max(used, 2)))
     lanes[:, :used], lanes[:, used:] = pixel_major, 0.0
-    return lanes
-
-
-def error_means(d: np.ndarray, count: int) -> np.ndarray:
-    """The means over ``count`` of |d| and of d², stacked: the left-to-right
-    running sums of each along ``d``'s last axis; leading axes are a batch.
-    Both are taken from one :func:`_pixel_major` copy of ``d``."""
-    lanes = _pixel_major(d)
     power = np.abs(lanes)
     sums = np.empty((2, lanes.shape[1]))
     np.add.reduce(power, axis=0, out=sums[0])
     np.multiply(lanes, lanes, out=power)
     np.add.reduce(power, axis=0, out=sums[1])
-    return sums[:, :math.prod(d.shape[:-1])].reshape(2, *d.shape[:-1]) / count
+    return sums[:, :used].reshape(2, *d.shape[:-1]) / count
 
 
 def l1_error(a, b) -> float:
     """Mean absolute difference over all pixels, summed in row-major order."""
     a, b = _check_pair(a, b)
-    return float(np.add.reduce(_pixel_major(np.abs(a - b).reshape(-1)), axis=0)[0] / a.size)
+    return float(np.add.accumulate(np.abs(a - b).reshape(-1))[-1] / a.size)
 
 
 def mse(a, b) -> float:
     """Mean squared difference over all pixels, summed in row-major order."""
     a, b = _check_pair(a, b)
     d = (a - b).reshape(-1)
-    return float(np.add.reduce(_pixel_major(d * d), axis=0)[0] / a.size)
+    return float(np.add.accumulate(d * d)[-1] / a.size)
 
 
 def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
