@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from threading import Thread
 
 import numpy as np
@@ -104,18 +104,28 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _accumulate_rows(tiles, offsets, weights) -> None:
-    # One block's prepared (source, n, tile, product, rows, done) tiles. Each
-    # tap is one contiguous 1-D pass over the n source values at its offset,
-    # its product written into ``product`` and added to ``tile``; each tile
-    # row ends in K-1 windows that wrap into the next source row, so only its
-    # first nx columns, ``done``, are copied into ``rows`` of the output.
-    for source, n, tile, product, rows, done in tiles:
+def _accumulate_rows(tiles, weights) -> None:
+    # One block's prepared (taps, tile, product, rows, done) tiles. ``taps()``
+    # gives the tile's K^2 taps in (i, j) order, each one contiguous 1-D run
+    # of the tile's source values at its offset: views held since _prepare
+    # where the tile is the output's own memory, sliced as the pass reaches
+    # them where it is scratch. Each tap's product is written into
+    # ``product`` and added to ``tile``. Each tile row ends in K-1 windows
+    # that wrap into the next source row: in the output's memory they stay
+    # in the pitch-wide columns beyond its view; from scratch only the first
+    # nx columns, ``done``, are copied into ``rows`` of the caller's output.
+    for taps, tile, product, rows, done in tiles:
         tile.fill(0.0)
-        for offset, weight in zip(offsets, weights):
-            np.multiply(source[offset:offset + n], weight, product)
+        for tap, weight in zip(taps(), weights):
+            np.multiply(tap, weight, product)
             tile += product
-        rows[...] = done
+        if rows is not None:
+            rows[...] = done
+
+
+def _sliced(source: np.ndarray, offsets, n: int):
+    # The n source values at each offset, sliced in C as the pass reaches them.
+    return map(source.__getitem__, map(slice, offsets, map(n.__add__, offsets)))
 
 
 def _accumulate_worker(errors: list, *args) -> None:
@@ -130,6 +140,11 @@ def _accumulate_worker(errors: list, *args) -> None:
         errors.append(exc)
 
 
+def _column_major(field: np.ndarray) -> bool:
+    # Whether the first axis of ``field`` is its contiguous one.
+    return abs(field.strides[1]) > abs(field.strides[0])
+
+
 def _row_tiles(ny: int, nx: int) -> tuple[int, int]:
     """(rows per tile, tile count) of an ny x nx valid output: one tile's
     accumulator is about ``_TILE_BYTES``."""
@@ -140,48 +155,70 @@ def _row_tiles(ny: int, nx: int) -> tuple[int, int]:
 def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     # (out, run): the valid product-sum of ``field`` with any K x K kernel,
     # set up once; ``run(kernel)`` writes it into ``out``, in the input's
-    # layout: a new array, or the caller's view of the output's shape.
-    # Every output starts from 0.0 and adds the rounded products in
+    # layout. Every output starts from 0.0 and adds the rounded products in
     # (i, j) order, whatever the tiles, so a window's arithmetic is the same
     # wherever it appears. A column-major array runs on its transposed view,
     # so every pass runs along the contiguous axis. The source is read in
     # place as one row-major run, so each run sees what it then holds; a
     # strided input is copied here. The tiles are split into n blocks, n the
     # smaller of the tile count and the CPUs this process may run on: the
-    # caller runs block 0 and a thread per block the rest, each in its own
-    # scratch pair (numpy's loops release the GIL). A pixel is computed by
-    # one tile alone, so the bits do not depend on n; one tile starts no
-    # thread.
-    flip = abs(field.strides[1]) > abs(field.strides[0])
+    # caller runs block 0 and a thread per block the rest, each with its own
+    # scratch (numpy's loops release the GIL). A pixel is computed by one
+    # tile alone, so the bits do not depend on n; one block starts no thread.
+    #
+    # Without ``out``, the output is allocated here, pitch-wide, and returned
+    # as its first nx columns: each tile is accumulated in its own rows of
+    # it and holds its K^2 tap views, so a run, repeated per kernel on a
+    # band strip, copies nothing and slices nothing. The one-shot callers
+    # pass an output of their own (``_accumulate`` a contiguous one, the
+    # path without a padded copy its output's interior): their tiles are
+    # accumulated in scratch, copied into it, and slice their taps as the
+    # pass reaches them (_sliced), since views held for a single run
+    # measured slower there (ROADMAP).
+    flip = _column_major(field)
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
     ny, nx = src.shape[0] - k + 1, pitch - k + 1
-    if out is None:
-        out = np.empty((ny, nx), dtype=np.float64)
+    in_place = out is None
+    if in_place:
+        buffer = np.empty(ny * pitch)
+        out = buffer.reshape(ny, pitch)[:, :nx]
     elif flip:
         out = out.T
     rows, tiles = _row_tiles(ny, nx)
     blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
-    scratch = np.empty((blocks, 2, min(rows, ny), pitch), dtype=np.float64)
+    # Per block, a product tile and, for the caller's output, an accumulator tile.
+    scratch = np.empty((blocks, 1 if in_place else 2, min(rows, ny), pitch), dtype=np.float64)
     offsets = [j * pitch + i if flip else i * pitch + j for i in range(k) for j in range(k)]
     starts = [min(block * tiles // blocks * rows, ny) for block in range(blocks + 1)]
     work = [[] for _ in range(blocks)]
-    for block, (acc, part) in enumerate(scratch):
+    for block, (part, *acc) in enumerate(scratch):
+        product = part.reshape(-1)
         for y0 in range(starts[block], starts[block + 1], rows):
             y1 = min(y0 + rows, starts[block + 1])
             n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
-            work[block].append((flat[y0 * pitch:], n, acc.reshape(-1)[:n], part.reshape(-1)[:n],
-                                out[y0:y1], acc[:y1 - y0, :nx]))
+            source = flat[y0 * pitch:]
+            if in_place:
+                taps = [source[offset:offset + n] for offset in offsets]
+                work[block].append((taps.__iter__, buffer[y0 * pitch:y0 * pitch + n], product[:n],
+                                    None, None))
+            else:
+                taps = partial(_sliced, source, offsets, n)
+                work[block].append((taps, acc[0].reshape(-1)[:n], product[:n],
+                                    out[y0:y1], acc[0][:y1 - y0, :nx]))
 
     def run(kernel: np.ndarray) -> None:
         weights = kernel.ravel().tolist()
+        if blocks == 1:
+            _accumulate_rows(work[0], weights)
+            return
         errors = []
-        threads = [Thread(target=_accumulate_worker, args=(errors, block, offsets, weights))
+        threads = [Thread(target=_accumulate_worker, args=(errors, block, weights))
                    for block in work[1:]]
         for thread in threads:
             thread.start()
         try:
-            _accumulate_rows(work[0], offsets, weights)
+            _accumulate_rows(work[0], weights)
         finally:
             for thread in threads:
                 thread.join()
@@ -192,8 +229,10 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
 
 
 def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    out, run = _prepare(field, kernel.shape[0])  # prepared, then run once
-    run(kernel)
+    k = kernel.shape[0]
+    h, w = field.shape
+    out = np.empty((h - k + 1, w - k + 1), order="F" if _column_major(field) else "C")
+    _prepare(field, k, out)[1](kernel)  # prepared, then run once
     return out
 
 
@@ -352,7 +391,10 @@ def _band_strips(h: int, w: int, k: int, slots: int = 1):
     slots, 2, w), ``sides`` the left and right min(m, w) frame columns
     between them, transposed, as (columns, slots, 2, rows). The side bands'
     margin rows stay zero: only the corner outputs, in ``ends``, read
-    them."""
+    them. Each strip is run once per kernel or frame, so its output is the
+    one :func:`_prepare` allocates and accumulates in place, from tap views
+    of the strip held since it was prepared: ``ends`` and ``sides`` view
+    that output, and each run reads what ``put`` last wrote."""
     m = half_width(k)
     bands = [min(3 * m, size + 2 * m) for size in (h, w)]
     strips = [np.zeros((band, slots * 2 * (size + 2 * m) + 2 * m))

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from diffconv.engine import (
     METHODS,
     PaddingScheme,
     _accumulate,
+    _band_strips,
     _margin,
+    _prepare,
     apply_method,
     conv2d_diff,
     conv2d_valid,
@@ -152,6 +155,36 @@ def test_band_stacks_match_untiled_reference(monkeypatch, k):
     for tile_bytes in (1, 2 * row_bytes, 2 * row_bytes + 8):
         monkeypatch.setattr(engine, "_TILE_BYTES", tile_bytes)
         assert_bitwise_equal(_accumulate(strip, kernel), want)
+    # The prepared strips accumulate in place from tap views held since they
+    # were made, and are run again and again: after each put of new bands
+    # and each new kernel, every slot's frame must be its padded field's, so
+    # a view left on stale bands, or a run that keeps anything of the last
+    # one, fails. Each slot's top margin row is zero (signed-zero products),
+    # and one kernel has exact-zero weights. The two strips' outputs differ
+    # in width by less than half, so both get one-row, then two-row tiles.
+    h, w, slots = 17, 19, 3
+    widest = 8 * slots * 2 * (max(h, w) + 2 * m)
+    for workers, tile_bytes in itertools.product(WORKERS, (1, 2 * widest)):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(engine, "_TILE_BYTES", tile_bytes)
+        put, runs, ends, sides = _band_strips(h, w, k, slots)
+        t, u = ends.shape[0], sides.shape[0]
+        for turn in range(3):
+            padded = [field_and_kernel((h + 2 * m, w + 2 * m), k, seed=10 * turn + s)[0]
+                      for s in range(slots)]
+            for s, field in enumerate(padded):
+                put(s, field[m:-m], field)
+            kernel = rng.uniform(-1.0, 1.0, size=(k, k))
+            if turn == 1:
+                kernel[::2] = 0.0
+            for run in runs:
+                run(kernel)
+            for s, field in enumerate(padded):
+                want = reference_accumulate(field, kernel)
+                assert_bitwise_equal(ends[:, s, 0], want[:t])
+                assert_bitwise_equal(ends[:, s, 1], want[h - t:])
+                assert_bitwise_equal(sides[:, s, 0], want[m:h - m, :u].T)
+                assert_bitwise_equal(sides[:, s, 1], want[m:h - m, w - u:].T)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9])
@@ -219,28 +252,31 @@ def test_worker_overflow_is_reported_by_the_caller(monkeypatch):
 def test_a_block_exception_is_raised_by_the_caller(monkeypatch, failing_start):
     # Ten one-row tiles in two blocks: block 0 (rows 0-4) runs in the calling
     # thread, block 1 (rows 5-9) in a worker. Whichever block raises, the
-    # call raises that exception once every worker has been joined.
+    # call raises that exception once every worker has been joined, both
+    # where the tiles are copied into the caller's output (conv2d_valid) and
+    # where a prepared run accumulates them in the output it allocated.
     class BlockFailed(Exception):
         pass
 
     accumulate_rows = engine._accumulate_rows
     caller = threading.current_thread()
 
-    def failing_rows(tiles, offsets, weights):
+    def failing_rows(tiles, weights):
         start = 0 if threading.current_thread() is caller else 5  # the block's first row
         if start == failing_start:
             raise BlockFailed(start)
-        accumulate_rows(tiles, offsets, weights)
+        accumulate_rows(tiles, weights)
 
     field, kernel = field_and_kernel((12, 12), 3, seed=0)
     monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
     monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 10)
     monkeypatch.setattr(engine, "_accumulate_rows", failing_rows)
     threads = threading.active_count()
-    with pytest.raises(BlockFailed) as raised:
-        conv2d_valid(field, kernel)
-    assert raised.value.args == (failing_start,)
-    assert threading.active_count() == threads
+    for call in (partial(conv2d_valid, field, kernel), partial(_prepare(field, 3)[1], kernel)):
+        with pytest.raises(BlockFailed) as raised:
+            call()
+        assert raised.value.args == (failing_start,)
+        assert threading.active_count() == threads
 
 
 def test_one_tile_starts_no_thread(monkeypatch):
