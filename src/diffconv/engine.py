@@ -37,6 +37,7 @@ from functools import cache, partial
 from threading import Thread
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .stencils import as_kernel, half_width, lagrange_values
 
@@ -93,7 +94,8 @@ def _check_inputs(field: np.ndarray, k: int, method: str, seed: int = 0) -> None
 
 # Rows per tile are chosen so that one output tile is about this many bytes:
 # the tile's accumulator, its scratch product and the input rows they read
-# then stay in cache across the K^2 passes.
+# then stay in cache across the K^2 passes. An output of more than one such
+# tile is retiled so that its products block is about twice this (_prepare).
 _TILE_BYTES = 256 * 1024
 
 
@@ -105,15 +107,16 @@ def _cpu_count() -> int:
 
 
 def _accumulate_rows(tiles, weights) -> None:
-    # One block's prepared (taps, tile, product, rows, done) tiles. ``taps()``
-    # gives the tile's K^2 taps in (i, j) order, each one contiguous 1-D run
-    # of the tile's source values at its offset: views held since _prepare
-    # where the tile is the output's own memory, sliced as the pass reaches
-    # them where it is scratch. Each tap's product is written into
+    # One block's prepared (taps, tile, product, rows, done) tiles, run as
+    # 2K^2 + 1 short calls: the step for runs too short for _reduce_rows.
+    # ``taps()`` gives the tile's K^2 taps in (i, j) order, each one
+    # contiguous 1-D run of the tile's source values at its offset: views
+    # held since _prepare where _prepare allocated the output, sliced as the
+    # pass reaches them otherwise. Each tap's product is written into
     # ``product`` and added to ``tile``. Each tile row ends in K-1 windows
-    # that wrap into the next source row: in the output's memory they stay
-    # in the pitch-wide columns beyond its view; from scratch only the first
-    # nx columns, ``done``, are copied into ``rows`` of the caller's output.
+    # that wrap into the next source row: where ``tile`` is the output's own
+    # memory they land in the columns beyond its view; from scratch only the
+    # first nx columns, ``done``, are copied into ``rows`` of the output.
     for taps, tile, product, rows, done in tiles:
         tile.fill(0.0)
         for tap, weight in zip(taps(), weights):
@@ -123,19 +126,34 @@ def _accumulate_rows(tiles, weights) -> None:
             rows[...] = done
 
 
+def _reduce_rows(tiles, weights) -> None:
+    # The same tiles in two long calls each, so a block holds the GIL only
+    # between them: ``taps`` is the tile's (K, K, n) view of its source,
+    # multiplied by the (K, K, 1) weights into the block's (K^2, n)
+    # ``products``, which one reduction sums down axis 0 into ``tile``. The
+    # reduction starts from +0.0 and adds the rounded products in (i, j)
+    # order, as _accumulate_rows does, so no bit moves. At n = 1 numpy would
+    # sum the K^2 products pairwise instead; _prepare never makes such a tile.
+    for taps, tile, products, rows, done in tiles:
+        np.multiply(taps, weights, products.reshape(taps.shape))
+        np.add.reduce(products, axis=0, out=tile, initial=0.0)
+        if rows is not None:
+            rows[...] = done
+
+
 def _sliced(source: np.ndarray, offsets, n: int):
     # The n source values at each offset, sliced in C as the pass reaches them.
     return map(source.__getitem__, map(slice, offsets, map(n.__add__, offsets)))
 
 
-def _accumulate_worker(errors: list, *args) -> None:
+def _accumulate_worker(errors: list, step, *args) -> None:
     # A new thread starts with numpy's default error state, not the caller's:
     # ignore overflow as every caller does (it checks the output), and hand
     # any exception to the caller, since a lost one would leave the block's
     # rows of the output unwritten.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            _accumulate_rows(*args)
+            step(*args)
     except BaseException as exc:
         errors.append(exc)
 
@@ -156,69 +174,104 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     # (out, run): the valid product-sum of ``field`` with any K x K kernel,
     # set up once; ``run(kernel)`` writes it into ``out``, in the input's
     # layout. Every output starts from 0.0 and adds the rounded products in
-    # (i, j) order, whatever the tiles, so a window's arithmetic is the same
-    # wherever it appears. A column-major array runs on its transposed view,
-    # so every pass runs along the contiguous axis. The source is read in
-    # place as one row-major run, so each run sees what it then holds; a
-    # strided input is copied here. The tiles are split into n blocks, n the
-    # smaller of the tile count and the CPUs this process may run on: the
-    # caller runs block 0 and a thread per block the rest, each with its own
-    # scratch (numpy's loops release the GIL). A pixel is computed by one
-    # tile alone, so the bits do not depend on n; one block starts no thread.
+    # (i, j) order, whatever the tiles and the step, so a window's arithmetic
+    # is the same wherever it appears. A column-major array runs on its
+    # transposed view, so every pass runs along the contiguous axis. The
+    # source is read in place as one row-major run, so each run sees what it
+    # then holds; a strided input is copied here. The tiles are split into n
+    # blocks, n the smaller of the tile count and the CPUs this process may
+    # run on: the caller runs block 0 and a thread per block the rest, each
+    # with its own scratch. A pixel is computed by one tile alone, so the
+    # bits do not depend on n; one block starts no thread.
     #
-    # Without ``out``, the output is allocated here, pitch-wide, and returned
-    # as its first nx columns: each tile is accumulated in its own rows of
-    # it and holds its K^2 tap views, so a run, repeated per kernel on a
-    # band strip, copies nothing and slices nothing. The one-shot callers
-    # pass an output of their own (``_accumulate`` a contiguous one, the
-    # path without a padded copy its output's interior): their tiles are
-    # accumulated in scratch, copied into it, and slice their taps as the
-    # pass reaches them (_sliced), since views held for a single run
-    # measured slower there (ROADMAP).
+    # An output of one tile (``compare``'s strips, small fields) runs the
+    # K^2 multiply-adds per tile (_accumulate_rows). A longer one is split
+    # into tiles whose products block, K^2 values per output, takes about
+    # the two tiles of scratch that step would, and each tile is one
+    # multiply and one reduction (_reduce_rows): numpy releases the GIL
+    # inside each call, and 2K^2 + 1 short calls per tile held two blocks
+    # to about 1.3x of one (README). Each such tile has more than a third of
+    # numpy's buffer size of outputs, as numpy buffers a multi-axis multiply
+    # with a broadcast operand over shorter runs, 3-4x slower per product
+    # (ROADMAP), so from K = 5 the block is larger; an output too short for
+    # that keeps the first step.
+    #
+    # Where the output's rows lie at the source's pitch (the one _prepare
+    # allocates, pitch-wide, and returns as its first nx columns, or the
+    # interior of a field-sized output), each tile is accumulated in its own
+    # rows of the output, and the K-1 windows per row that wrap into the next
+    # source row land in the columns beyond the view, which the caller
+    # overwrites or never reads. Otherwise (``_accumulate``'s contiguous
+    # output, or a column-major field's interior) a tile is accumulated in
+    # scratch and its first nx columns are copied into the output. Where
+    # _prepare allocated the output, the K^2 tap views of each tile are held,
+    # so a run repeated per kernel on a band strip slices nothing; the
+    # one-shot callers slice them as the pass reaches them (_sliced), since
+    # views held for a single run measured slower there (ROADMAP).
     flip = _column_major(field)
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
     ny, nx = src.shape[0] - k + 1, pitch - k + 1
-    in_place = out is None
-    if in_place:
-        buffer = np.empty(ny * pitch)
-        out = buffer.reshape(ny, pitch)[:, :nx]
+    held = out is None
+    if held:
+        out = np.empty(ny * pitch).reshape(ny, pitch)[:, :nx]
     elif flip:
         out = out.T
-    rows, tiles = _row_tiles(ny, nx)
+    direct = out.strides == (8 * pitch, 8)
+    if direct:
+        out_run = as_strided(out, ((ny - 1) * pitch + nx,), (8,))
+    tiles = _row_tiles(ny, nx)[1]
+    reduce = False
+    if tiles > 1:
+        # As many tiles as the output holds of the fewest rows whose run
+        # reaches ``least`` outputs.
+        least = max(np.getbufsize() // 3 + 1, 2 * _TILE_BYTES // (8 * k * k))
+        count = max(1, ny // (1 - min(0, (nx - least) // pitch)))
+        reduce = 3 * ((ny // count - 1) * pitch + nx) > np.getbufsize()
+        if reduce:
+            tiles = count
+    # Tile t holds output rows bounds[t]:bounds[t + 1], and block b tiles
+    # b * tiles // blocks onwards; the shortest tile has ny // tiles rows.
+    bounds = [t * ny // tiles for t in range(tiles + 1)]
+    most = -(-ny // tiles)
     blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
-    # Per block, a product tile and, for the caller's output, an accumulator tile.
-    scratch = np.empty((blocks, 1 if in_place else 2, min(rows, ny), pitch), dtype=np.float64)
+    size = (most - 1) * pitch + nx
     offsets = [j * pitch + i if flip else i * pitch + j for i in range(k) for j in range(k)]
-    starts = [min(block * tiles // blocks * rows, ny) for block in range(blocks + 1)]
+    strides = (8, 8 * pitch, 8) if flip else (8 * pitch, 8, 8)
     work = [[] for _ in range(blocks)]
-    for block, (part, *acc) in enumerate(scratch):
-        product = part.reshape(-1)
-        for y0 in range(starts[block], starts[block + 1], rows):
-            y1 = min(y0 + rows, starts[block + 1])
+    for block, tiles_of_block in enumerate(work):
+        # Per block, the product scratch and, unless direct, an accumulator.
+        product = np.empty(k * k * size if reduce else size)
+        acc = None if direct else np.empty((most, pitch))
+        for t in range(block * tiles // blocks, (block + 1) * tiles // blocks):
+            y0, y1 = bounds[t], bounds[t + 1]
             n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
-            source = flat[y0 * pitch:]
-            if in_place:
-                taps = [source[offset:offset + n] for offset in offsets]
-                work[block].append((taps.__iter__, buffer[y0 * pitch:y0 * pitch + n], product[:n],
-                                    None, None))
+            if direct:
+                tile, copy = out_run[y0 * pitch:y0 * pitch + n], (None, None)
             else:
-                taps = partial(_sliced, source, offsets, n)
-                work[block].append((taps, acc[0].reshape(-1)[:n], product[:n],
-                                    out[y0:y1], acc[0][:y1 - y0, :nx]))
+                tile, copy = acc.reshape(-1)[:n], (out[y0:y1], acc[:y1 - y0, :nx])
+            if reduce:
+                taps = np.ndarray((k, k, n), buffer=flat, offset=8 * y0 * pitch, strides=strides)
+                tiles_of_block.append((taps, tile, product[:k * k * n].reshape(k * k, n), *copy))
+            else:
+                source = flat[y0 * pitch:]
+                taps = ([source[offset:offset + n] for offset in offsets].__iter__ if held
+                        else partial(_sliced, source, offsets, n))
+                tiles_of_block.append((taps, tile, product[:n], *copy))
 
     def run(kernel: np.ndarray) -> None:
-        weights = kernel.ravel().tolist()
+        step = _reduce_rows if reduce else _accumulate_rows
+        weights = kernel[:, :, None] if reduce else kernel.ravel().tolist()
         if blocks == 1:
-            _accumulate_rows(work[0], weights)
+            step(work[0], weights)
             return
         errors = []
-        threads = [Thread(target=_accumulate_worker, args=(errors, block, weights))
+        threads = [Thread(target=_accumulate_worker, args=(errors, step, block, weights))
                    for block in work[1:]]
         for thread in threads:
             thread.start()
         try:
-            _accumulate_rows(work[0], weights)
+            step(work[0], weights)
         finally:
             for thread in threads:
                 thread.join()
@@ -421,8 +474,11 @@ def _accumulate_unpadded(method: str, field: np.ndarray, kernel: np.ndarray, see
     m = half_width(k)
     h, w = field.shape
     out = np.empty((h, w))
-    # The interior first, so its scratch tiles are freed before the frame's
-    # pieces and strips are made: the call holds one full-size array.
+    # The interior first, so its scratch is freed before the frame's pieces
+    # and strips are made: the call holds one full-size array. A row-major
+    # field's interior sums straight into ``out``, whose rows have the
+    # field's pitch; the windows that wrap past a row's end land in the
+    # frame's columns, which the frame then overwrites.
     if min(h, w) >= k:
         _prepare(field, k, out[m:-m, m:-m])[1](kernel)
     put, runs, ends, sides = _band_strips(h, w, k)

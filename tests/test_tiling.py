@@ -1,7 +1,8 @@
 """Row-tiled accumulation against the untiled references, with its tiles
-split over one or more threads, the windows that wrap at the row pitch, the
-full-size arrays each size-keeping call allocates, and output bits that do
-not depend on the input's memory order."""
+split over one or more threads and run one product at a time or as one
+multiply and one sum, the windows that wrap at the row pitch, the full-size
+arrays each size-keeping call allocates, and output bits that do not depend
+on the input's memory order."""
 
 import itertools
 import sys
@@ -214,20 +215,76 @@ def test_column_major_band_stacks_match_untiled_reference(monkeypatch, k):
     assert _accumulate(np.ascontiguousarray(strip), kernel).flags.c_contiguous
 
 
+@pytest.mark.parametrize("run", [2048, 2731, 3000, 8193])
+def test_reduce_step_matches_untiled_reference(monkeypatch, run):
+    # One multiply and one sum per tile (_reduce_rows), each tile one output
+    # row of ``run`` values, on either side of a third of numpy's 8,192-value
+    # buffer: numpy buffers the multiply of shorter runs and not of longer
+    # ones, and the bits must not depend on it. _prepare takes the step only
+    # above that third, so at 2,048 its rule alone is told the buffer is
+    # empty. Fields are row-major and column-major (taps along axis 0); the
+    # unpadded apply_method path accumulates the interior in the output
+    # itself, and a prepared run in the output it allocates, from a (K, K, n)
+    # view held since it was prepared, so each run must read what the source
+    # then holds. A positive field with an all -0.0 kernel makes every
+    # product -0.0: the sum must start from +0.0, as the untiled loop does.
+    runs = []
+    reduce_rows = engine._reduce_rows
+
+    def spy(tiles, weights):
+        runs.extend(tile.size for _, tile, *_ in tiles)
+        reduce_rows(tiles, weights)
+
+    monkeypatch.setattr(engine, "_reduce_rows", spy)
+    monkeypatch.setattr(engine, "_TILE_BYTES", 8 * run)
+    if 3 * run <= np.getbufsize():
+        monkeypatch.setattr(np, "getbufsize", lambda: 0)
+    for k, workers in itertools.product((3, 9), WORKERS):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        field, kernel = field_and_kernel((k + 6, run + k - 1), k, seed=run + k)
+        source = np.empty_like(field)
+        held, rerun = _prepare(source, k)
+        for values, weights in ((field, kernel), (np.abs(field) + 0.5, np.full((k, k), -0.0))):
+            runs.clear()
+            source[...] = values
+            rerun(weights)
+            assert_bitwise_equal(held, reference_accumulate(values, weights))
+            assert_bitwise_equal(conv2d_valid(values, weights), reference_accumulate(values, weights))
+            transposed = np.asfortranarray(values.T)
+            assert_bitwise_equal(conv2d_valid(transposed, weights),
+                                 reference_accumulate(np.ascontiguousarray(transposed), weights))
+            assert runs and set(runs) == {run}
+            assert_bitwise_equal(apply_method("zero", values, weights),
+                                 reference_method("zero", values, weights, seed=0))
+
+
 def test_workers_share_no_scratch(monkeypatch):
-    # More workers than CPUs, one-row tiles and a short switch interval, so
-    # the blocks interleave; a scratch tile shared between two of them
-    # corrupts the output.
+    # More workers than CPUs, short tiles and a short switch interval, so
+    # the blocks interleave; a scratch tile or products block shared between
+    # two of them corrupts the output. At numpy's buffer size the 400-value
+    # rows are retiled into tiles of 7 or 8 rows, each one multiply and one
+    # sum; told the buffer is larger than any run, the rule keeps one-row
+    # tiles, one product at a time.
     field, kernel = field_and_kernel((130, 402), 3, seed=1)
     want = reference_accumulate(field, kernel)
+    ran = set()
+    for name in ("_reduce_rows", "_accumulate_rows"):
+        def spy(tiles, weights, step=getattr(engine, name), name=name):
+            ran.add(name)
+            step(tiles, weights)
+        monkeypatch.setattr(engine, name, spy)
     workers = engine._cpu_count() + 2
     monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
     monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 400)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            assert_bitwise_equal(_accumulate(field, kernel), want)
+        for buffer, step in ((np.getbufsize(), "_reduce_rows"), (1 << 40, "_accumulate_rows")):
+            monkeypatch.setattr(np, "getbufsize", lambda: buffer)
+            ran.clear()
+            for _ in range(20):
+                assert_bitwise_equal(_accumulate(field, kernel), want)
+            assert ran == {step}
     finally:
         sys.setswitchinterval(interval)
 
@@ -316,16 +373,28 @@ def test_partial_frame_rescale_matches_full_scale_map(k):
 def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
     # Traced peak of one call at 512^2, K = 3 (8 tiles, the fewest that make
     # no padded copy), with one and with two workers. Besides the full-size
-    # arrays there are two pitch-wide scratch tiles per worker (the product
-    # and the accumulator) and a few margin-sized arrays. An untiled accumulation adds one full-size product
-    # temporary per call, a padded copy, a stacked padding or a full-size
-    # scale map another, and the bound is below one more field.
+    # arrays there is one products block per worker, K^2 values per output
+    # of the longest tile, a few margin-sized arrays and the tiles' views
+    # (about 470 bytes a tile); conv2d_valid, whose output rows are narrower
+    # than the field's, also has an accumulator tile per worker. The 510 x
+    # 510 output (or interior), at the field's pitch of 512, is split into
+    # tiles of the fewest rows whose run reaches 2 * _TILE_BYTES / (8 K^2)
+    # outputs (more than a third of numpy's buffer), spread evenly. An
+    # untiled accumulation adds one full-size product temporary per call, a
+    # padded copy, a stacked padding or a full-size scale map another, and
+    # the bound is below one more field.
     field = np.random.default_rng(0).standard_normal((512, 512))
     kernel = np.full((3, 3), 1.0 / 9.0)
     padded_bytes = 514 * 514 * 8
-    # Rows per tile for the narrowest output (510), at the widest pitch (514).
-    scratch_bytes = 2 * 8 * 514 * (engine._TILE_BYTES // (8 * 510))
-    bound = full_size_arrays * padded_bytes + 2 * scratch_bytes
+    least = max(np.getbufsize() // 3 + 1, 2 * engine._TILE_BYTES // (8 * 9))
+    rows = 1 + -(-(least - 510) // 512)
+    tiles = 510 // rows
+    longest = -(-510 // tiles)
+    scratch_bytes = 9 * 8 * ((longest - 1) * 512 + 510)
+    if function is conv2d_valid:
+        scratch_bytes += 8 * 512 * longest
+    views_bytes = 512 * tiles
+    bound = full_size_arrays * padded_bytes + views_bytes + 2 * scratch_bytes
     assert bound < (full_size_arrays + 1) * field.nbytes
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
@@ -337,7 +406,7 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
         finally:
             tracemalloc.stop()
         assert full_size_arrays * field.nbytes <= peak
-        assert peak <= full_size_arrays * padded_bytes + workers * scratch_bytes
+        assert peak <= full_size_arrays * padded_bytes + views_bytes + workers * scratch_bytes
 
 
 @pytest.mark.parametrize("k", [3, 5])
