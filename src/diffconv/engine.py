@@ -184,30 +184,36 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     # with its own scratch. A pixel is computed by one tile alone, so the
     # bits do not depend on n; one block starts no thread.
     #
-    # An output of one tile (``compare``'s strips, small fields) runs the
-    # K^2 multiply-adds per tile (_accumulate_rows). A longer one is split
-    # into tiles whose products block, K^2 values per output, takes about
-    # the two tiles of scratch that step would, and each tile is one
-    # multiply and one reduction (_reduce_rows): numpy releases the GIL
-    # inside each call, and 2K^2 + 1 short calls per tile held two blocks
-    # to about 1.3x of one (README). Each such tile has more than a third of
-    # numpy's buffer size of outputs, as numpy buffers a multi-axis multiply
-    # with a broadcast operand over shorter runs, 3-4x slower per product
-    # (ROADMAP), so from K = 5 the block is larger; an output too short for
-    # that keeps the first step.
+    # One block runs the K^2 multiply-adds per tile (_accumulate_rows): an
+    # output of one tile (``compare``'s strips, small fields), or any output
+    # where the process may run on one CPU, where that step was the faster.
+    # Where two or more blocks run, a longer output is split into tiles whose
+    # products block, K^2 values per output, takes about the two tiles of
+    # scratch that step would, and each tile is one multiply and one
+    # reduction (_reduce_rows): numpy releases the GIL inside each call, and
+    # 2K^2 + 1 short calls per tile held two blocks to about 1.3x of one
+    # (README). Each such tile has more than a third of numpy's buffer size
+    # of outputs, as numpy buffers a multi-axis multiply with a broadcast
+    # operand over shorter runs, 3-4x slower per product (ROADMAP), so from
+    # K = 5 the block is larger. An output too short for that keeps the
+    # first step, and so does one whose block would outgrow L2 (K = 9 at
+    # 1024 wide), where the two-call step measured slower (README).
     #
     # Where the output's rows lie at the source's pitch (the one _prepare
-    # allocates, pitch-wide, and returns as its first nx columns, or the
-    # interior of a field-sized output), each tile is accumulated in its own
-    # rows of the output, and the K-1 windows per row that wrap into the next
-    # source row land in the columns beyond the view, which the caller
-    # overwrites or never reads. Otherwise (``_accumulate``'s contiguous
-    # output, or a column-major field's interior) a tile is accumulated in
-    # scratch and its first nx columns are copied into the output. Where
-    # _prepare allocated the output, the K^2 tap views of each tile are held,
-    # so a run repeated per kernel on a band strip slices nothing; the
-    # one-shot callers slice them as the pass reaches them (_sliced), since
-    # views held for a single run measured slower there (ROADMAP).
+    # allocates, pitch-wide, and returns as its first nx columns, or, for
+    # the two-call step, the interior of a field-sized output), each tile is
+    # accumulated in its own rows of the output, and the K-1 windows per row
+    # that wrap into the next source row land in the columns beyond the
+    # view, which the caller overwrites or never reads. Otherwise
+    # (``_accumulate``'s contiguous output, a column-major field's interior,
+    # or the per-tap loop over a field-sized output's interior, whose K^2
+    # passes over it measured 5-10 % slower at K = 7 and 9 than over
+    # scratch) a tile is accumulated in scratch and its first nx columns are
+    # copied into the output. Where _prepare allocated the output, the K^2
+    # tap views of each tile are held, so a run repeated per kernel on a
+    # band strip slices nothing; the one-shot callers slice them as the pass
+    # reaches them (_sliced), since views held for a single run measured
+    # slower there (ROADMAP).
     flip = _column_major(field)
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
@@ -217,32 +223,44 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
         out = np.empty(ny * pitch).reshape(ny, pitch)[:, :nx]
     elif flip:
         out = out.T
-    direct = out.strides == (8 * pitch, 8)
-    if direct:
-        out_run = as_strided(out, ((ny - 1) * pitch + nx,), (8,))
     tiles = _row_tiles(ny, nx)[1]
+    cpus = _cpu_count() if tiles > 1 else 1
     reduce = False
-    if tiles > 1:
+    if min(tiles, cpus) > 1:
         # As many tiles as the output holds of the fewest rows whose run
-        # reaches ``least`` outputs.
+        # reaches ``least`` outputs, if the shortest one's run passes a
+        # third of the buffer and the longest one's products block, 8 bytes
+        # a value, fits in 8 _TILE_BYTES (2 MiB, one CPU's L2).
         least = max(np.getbufsize() // 3 + 1, 2 * _TILE_BYTES // (8 * k * k))
         count = max(1, ny // (1 - min(0, (nx - least) // pitch)))
-        reduce = 3 * ((ny // count - 1) * pitch + nx) > np.getbufsize()
+        longest = (-(-ny // count) - 1) * pitch + nx
+        reduce = (3 * ((ny // count - 1) * pitch + nx) > np.getbufsize()
+                  and k * k * longest <= _TILE_BYTES)
         if reduce:
             tiles = count
+    direct = out.strides == (8 * pitch, 8) and (held or reduce)
+    if direct:
+        out_run = as_strided(out, ((ny - 1) * pitch + nx,), (8,))
     # Tile t holds output rows bounds[t]:bounds[t + 1], and block b tiles
     # b * tiles // blocks onwards; the shortest tile has ny // tiles rows.
     bounds = [t * ny // tiles for t in range(tiles + 1)]
     most = -(-ny // tiles)
-    blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
+    blocks = min(tiles, cpus)
     size = (most - 1) * pitch + nx
     offsets = [j * pitch + i if flip else i * pitch + j for i in range(k) for j in range(k)]
     strides = (8, 8 * pitch, 8) if flip else (8 * pitch, 8, 8)
+    # The per-tap loop's scratch is pitch-wide planes of one allocation for
+    # every block, which measured up to 10 % faster on a 1024^2 interior
+    # than an allocation per plane (ROADMAP).
+    if not reduce:
+        planes = np.empty((blocks, 1 if direct else 2, most, pitch))
     work = [[] for _ in range(blocks)]
     for block, tiles_of_block in enumerate(work):
         # Per block, the product scratch and, unless direct, an accumulator.
-        product = np.empty(k * k * size if reduce else size)
-        acc = None if direct else np.empty((most, pitch))
+        if reduce:
+            product, acc = np.empty(k * k * size), None if direct else np.empty((most, pitch))
+        else:
+            product, acc = planes[block, 0].reshape(-1), None if direct else planes[block, 1]
         for t in range(block * tiles // blocks, (block + 1) * tiles // blocks):
             y0, y1 = bounds[t], bounds[t + 1]
             n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
@@ -475,10 +493,11 @@ def _accumulate_unpadded(method: str, field: np.ndarray, kernel: np.ndarray, see
     h, w = field.shape
     out = np.empty((h, w))
     # The interior first, so its scratch is freed before the frame's pieces
-    # and strips are made: the call holds one full-size array. A row-major
-    # field's interior sums straight into ``out``, whose rows have the
-    # field's pitch; the windows that wrap past a row's end land in the
-    # frame's columns, which the frame then overwrites.
+    # and strips are made: the call holds one full-size array. Where it runs
+    # the two-call step, a row-major field's interior sums straight into
+    # ``out``, whose rows have the field's pitch; the windows that wrap past
+    # a row's end land in the frame's columns, which the frame then
+    # overwrites.
     if min(h, w) >= k:
         _prepare(field, k, out[m:-m, m:-m])[1](kernel)
     put, runs, ends, sides = _band_strips(h, w, k)

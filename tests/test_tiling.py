@@ -221,13 +221,19 @@ def test_reduce_step_matches_untiled_reference(monkeypatch, run):
     # row of ``run`` values, on either side of a third of numpy's 8,192-value
     # buffer: numpy buffers the multiply of shorter runs and not of longer
     # ones, and the bits must not depend on it. _prepare takes the step only
-    # above that third, so at 2,048 its rule alone is told the buffer is
-    # empty. Fields are row-major and column-major (taps along axis 0); the
-    # unpadded apply_method path accumulates the interior in the output
-    # itself, and a prepared run in the output it allocates, from a (K, K, n)
-    # view held since it was prepared, so each run must read what the source
-    # then holds. A positive field with an all -0.0 kernel makes every
-    # product -0.0: the sum must start from +0.0, as the untiled loop does.
+    # where two or more blocks run (with one worker every output keeps the
+    # per-tap loop), only above that third (so at 2,048 its rule alone is
+    # told the buffer is empty), and only for a products block of at most
+    # _TILE_BYTES values: here K^2 runs, and then one value fewer, which
+    # keeps the per-tap loop. Either way the untiled output has ten rows a
+    # tile at K = 9 and one at K = 3, so fields of 8 (K^2 // 8) + 1 rows
+    # take the unpadded apply_method path. Fields are row-major and
+    # column-major (taps along axis 0); the unpadded apply_method path
+    # accumulates the interior in the output itself, and a prepared run in
+    # the output it allocates, from a (K, K, n) view held since it was
+    # prepared, so each run must read what the source then holds. A
+    # positive field with an all -0.0 kernel makes every product -0.0: the
+    # sum must start from +0.0, as the untiled loop does.
     runs = []
     reduce_rows = engine._reduce_rows
 
@@ -236,12 +242,12 @@ def test_reduce_step_matches_untiled_reference(monkeypatch, run):
         reduce_rows(tiles, weights)
 
     monkeypatch.setattr(engine, "_reduce_rows", spy)
-    monkeypatch.setattr(engine, "_TILE_BYTES", 8 * run)
     if 3 * run <= np.getbufsize():
         monkeypatch.setattr(np, "getbufsize", lambda: 0)
     for k, workers in itertools.product((3, 9), WORKERS):
+        monkeypatch.setattr(engine, "_TILE_BYTES", k * k * run)
         monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
-        field, kernel = field_and_kernel((k + 6, run + k - 1), k, seed=run + k)
+        field, kernel = field_and_kernel((8 * (k * k // 8) + 1, run + k - 1), k, seed=run + k)
         source = np.empty_like(field)
         held, rerun = _prepare(source, k)
         for values, weights in ((field, kernel), (np.abs(field) + 0.5, np.full((k, k), -0.0))):
@@ -253,18 +259,24 @@ def test_reduce_step_matches_untiled_reference(monkeypatch, run):
             transposed = np.asfortranarray(values.T)
             assert_bitwise_equal(conv2d_valid(transposed, weights),
                                  reference_accumulate(np.ascontiguousarray(transposed), weights))
-            assert runs and set(runs) == {run}
+            assert set(runs) == ({run} if workers > 1 else set())
             assert_bitwise_equal(apply_method("zero", values, weights),
                                  reference_method("zero", values, weights, seed=0))
+        # One value more than _TILE_BYTES in the block keeps the per-tap loop.
+        monkeypatch.setattr(engine, "_TILE_BYTES", k * k * run - 1)
+        runs.clear()
+        assert_bitwise_equal(conv2d_valid(field, kernel), reference_accumulate(field, kernel))
+        assert not runs
 
 
 def test_workers_share_no_scratch(monkeypatch):
     # More workers than CPUs, short tiles and a short switch interval, so
     # the blocks interleave; a scratch tile or products block shared between
     # two of them corrupts the output. At numpy's buffer size the 400-value
-    # rows are retiled into tiles of 7 or 8 rows, each one multiply and one
-    # sum; told the buffer is larger than any run, the rule keeps one-row
-    # tiles, one product at a time.
+    # rows are retiled from ten rows a tile into tiles of 7 or 8 rows, each
+    # one multiply and one sum into a block of 9 x 3,214 values, within
+    # _TILE_BYTES values; told the buffer is larger than any run, the rule
+    # keeps the ten-row tiles, one product at a time.
     field, kernel = field_and_kernel((130, 402), 3, seed=1)
     want = reference_accumulate(field, kernel)
     ran = set()
@@ -275,7 +287,7 @@ def test_workers_share_no_scratch(monkeypatch):
         monkeypatch.setattr(engine, name, spy)
     workers = engine._cpu_count() + 2
     monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
-    monkeypatch.setattr(engine, "_TILE_BYTES", 8 * 400)
+    monkeypatch.setattr(engine, "_TILE_BYTES", 10 * 8 * 400)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -373,28 +385,41 @@ def test_partial_frame_rescale_matches_full_scale_map(k):
 def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
     # Traced peak of one call at 512^2, K = 3 (8 tiles, the fewest that make
     # no padded copy), with one and with two workers. Besides the full-size
-    # arrays there is one products block per worker, K^2 values per output
-    # of the longest tile, a few margin-sized arrays and the tiles' views
-    # (about 470 bytes a tile); conv2d_valid, whose output rows are narrower
-    # than the field's, also has an accumulator tile per worker. The 510 x
-    # 510 output (or interior), at the field's pitch of 512, is split into
-    # tiles of the fewest rows whose run reaches 2 * _TILE_BYTES / (8 K^2)
-    # outputs (more than a third of numpy's buffer), spread evenly. An
-    # untiled accumulation adds one full-size product temporary per call, a
-    # padded copy, a stacked padding or a full-size scale map another, and
-    # the bound is below one more field.
+    # arrays there is each worker's product scratch, a few margin-sized
+    # arrays and the tiles' views (about 470 bytes a tile). The 510 x 510
+    # output (or interior), at the field's pitch of 512, is split into
+    # tiles spread evenly. One worker runs one product at a time over the
+    # 64-row tiles of _row_tiles, into a plane of product scratch that it
+    # adds to a plane of accumulator scratch. Two workers each run one
+    # multiply into a products block, K^2 values per output of the longest
+    # tile, over tiles of the fewest rows whose run reaches 2 * _TILE_BYTES
+    # / (8 K^2) outputs (more than a third of numpy's buffer), and sum it
+    # into the interior itself; conv2d_valid, whose output rows are narrower
+    # than the field's, into an accumulator plane. A plane has as many
+    # pitch-wide rows as the longest tile. An untiled accumulation adds
+    # one full-size product temporary per call, a padded copy, a stacked
+    # padding or a full-size scale map another, and the bound is below one
+    # more field.
     field = np.random.default_rng(0).standard_normal((512, 512))
     kernel = np.full((3, 3), 1.0 / 9.0)
     padded_bytes = 514 * 514 * 8
+
+    def scratch_bytes(tiles, products):
+        # One worker's, for ``tiles`` tiles: the per-tap loop's product and
+        # accumulator planes (products == 1), or a products block of that
+        # many values per output of the longest tile and, for conv2d_valid,
+        # an accumulator plane.
+        plane = 512 * -(-510 // tiles)
+        if products == 1:
+            return 8 * 2 * plane
+        return 8 * (products * (plane - 2) + (plane if function is conv2d_valid else 0))
+
+    one_tiles = engine._row_tiles(510, 510)[1]
     least = max(np.getbufsize() // 3 + 1, 2 * engine._TILE_BYTES // (8 * 9))
-    rows = 1 + -(-(least - 510) // 512)
-    tiles = 510 // rows
-    longest = -(-510 // tiles)
-    scratch_bytes = 9 * 8 * ((longest - 1) * 512 + 510)
-    if function is conv2d_valid:
-        scratch_bytes += 8 * 512 * longest
-    views_bytes = 512 * tiles
-    bound = full_size_arrays * padded_bytes + views_bytes + 2 * scratch_bytes
+    two_tiles = 510 // (1 + -(-(least - 510) // 512))
+    scratch = {1: scratch_bytes(one_tiles, 1), 2: 2 * scratch_bytes(two_tiles, 9)}
+    views_bytes = 512 * max(one_tiles, two_tiles)
+    bound = full_size_arrays * padded_bytes + views_bytes + max(scratch.values())
     assert bound < (full_size_arrays + 1) * field.nbytes
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
@@ -406,7 +431,7 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
         finally:
             tracemalloc.stop()
         assert full_size_arrays * field.nbytes <= peak
-        assert peak <= full_size_arrays * padded_bytes + views_bytes + workers * scratch_bytes
+        assert peak <= full_size_arrays * padded_bytes + views_bytes + scratch[workers]
 
 
 @pytest.mark.parametrize("k", [3, 5])
