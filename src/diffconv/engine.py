@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
+from itertools import chain
 from threading import Thread
 
 import numpy as np
@@ -95,7 +96,8 @@ def _check_inputs(field: np.ndarray, k: int, method: str, seed: int = 0) -> None
 # Rows per tile are chosen so that one output tile is about this many bytes:
 # the tile's accumulator, its scratch product and the input rows they read
 # then stay in cache across the K^2 passes. An output of more than one such
-# tile is retiled so that its products block is about twice this (_prepare).
+# tile, split over two or more CPUs, is retiled so that its products block
+# takes at least twice this and at most 8 times, one CPU's L2 (_prepare).
 _TILE_BYTES = 256 * 1024
 
 
@@ -109,17 +111,16 @@ def _cpu_count() -> int:
 def _accumulate_rows(tiles, weights) -> None:
     # One block's prepared (taps, tile, product, rows, done) tiles, run as
     # 2K^2 + 1 short calls: the step for runs too short for _reduce_rows.
-    # ``taps()`` gives the tile's K^2 taps in (i, j) order, each one
-    # contiguous 1-D run of the tile's source values at its offset: views
-    # held since _prepare where _prepare allocated the output, sliced as the
-    # pass reaches them otherwise. Each tap's product is written into
-    # ``product`` and added to ``tile``. Each tile row ends in K-1 windows
-    # that wrap into the next source row: where ``tile`` is the output's own
-    # memory they land in the columns beyond its view; from scratch only the
-    # first nx columns, ``done``, are copied into ``rows`` of the output.
+    # ``taps`` holds the tile's K^2 taps in (i, j) order, the rows of its
+    # (K, K, n) view of the source, each one contiguous 1-D run at its
+    # offset. Each tap's product is written into ``product`` and added to
+    # ``tile``. Each tile row ends in K-1 windows that wrap into the next
+    # source row: where ``tile`` is the output's own memory they land in the
+    # columns beyond its view; from scratch only the first nx columns,
+    # ``done``, are copied into ``rows`` of the output.
     for taps, tile, product, rows, done in tiles:
         tile.fill(0.0)
-        for tap, weight in zip(taps(), weights):
+        for tap, weight in zip(taps, weights):
             np.multiply(tap, weight, product)
             tile += product
         if rows is not None:
@@ -139,11 +140,6 @@ def _reduce_rows(tiles, weights) -> None:
         np.add.reduce(products, axis=0, out=tile, initial=0.0)
         if rows is not None:
             rows[...] = done
-
-
-def _sliced(source: np.ndarray, offsets, n: int):
-    # The n source values at each offset, sliced in C as the pass reaches them.
-    return map(source.__getitem__, map(slice, offsets, map(n.__add__, offsets)))
 
 
 def _accumulate_worker(errors: list, step, *args) -> None:
@@ -195,31 +191,36 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     # (README). Each such tile has more than a third of numpy's buffer size
     # of outputs, as numpy buffers a multi-axis multiply with a broadcast
     # operand over shorter runs, 3-4x slower per product (ROADMAP), so from
-    # K = 5 the block is larger. An output too short for that keeps the
-    # first step, and so does one whose block would outgrow L2 (K = 9 at
-    # 1024 wide), where the two-call step measured slower (README).
+    # K = 5 the block is larger. The step is taken where the longest tile's
+    # block fits in 8 _TILE_BYTES (2 MiB, one CPU's L2): that refuses an
+    # output with room for only one such tile, whose run is longer than
+    # _TILE_BYTES / 8 outputs, and one whose block would outgrow L2 (K = 9
+    # at 1024 wide), where the two-call step measured slower (README).
     #
-    # Where the output's rows lie at the source's pitch (the one _prepare
+    # Every tile's taps are one (K, K, n) strided view of the source, made
+    # here, so no run slices anything; the per-tap loop holds its K^2 rows.
+    # Each block's scratch is a product plane per tap of the two-call step,
+    # or one for the per-tap loop, and, unless the tile sums in place, an
+    # accumulator plane, all planes as many pitch-wide rows as the longest
+    # tile and all blocks' planes one allocation. A tile's K^2 products lie
+    # back to back from the block's first plane on: products a plane apart
+    # measured 2-8 % slower on two threads (ROADMAP). A tile sums in place
+    # where the output's rows lie at the source's pitch (the one _prepare
     # allocates, pitch-wide, and returns as its first nx columns, or, for
-    # the two-call step, the interior of a field-sized output), each tile is
-    # accumulated in its own rows of the output, and the K-1 windows per row
-    # that wrap into the next source row land in the columns beyond the
-    # view, which the caller overwrites or never reads. Otherwise
-    # (``_accumulate``'s contiguous output, a column-major field's interior,
-    # or the per-tap loop over a field-sized output's interior, whose K^2
-    # passes over it measured 5-10 % slower at K = 7 and 9 than over
-    # scratch) a tile is accumulated in scratch and its first nx columns are
-    # copied into the output. Where _prepare allocated the output, the K^2
-    # tap views of each tile are held, so a run repeated per kernel on a
-    # band strip slices nothing; the one-shot callers slice them as the pass
-    # reaches them (_sliced), since views held for a single run measured
-    # slower there (ROADMAP).
+    # the two-call step, the interior of a field-sized output): the K-1
+    # windows per row that wrap into the next source row land in the
+    # columns beyond the view, which the caller overwrites or never reads.
+    # Otherwise (``_accumulate``'s contiguous output, a column-major field's
+    # interior, or the per-tap loop over a field-sized output's interior,
+    # whose K^2 passes over it measured 5-10 % slower at K = 7 and 9 than
+    # over scratch) a tile is accumulated in its block's accumulator plane
+    # and its first nx columns are copied into the output.
     flip = _column_major(field)
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
     ny, nx = src.shape[0] - k + 1, pitch - k + 1
-    held = out is None
-    if held:
+    allocate = out is None
+    if allocate:
         out = np.empty(ny * pitch).reshape(ny, pitch)[:, :nx]
     elif flip:
         out = out.T
@@ -228,17 +229,13 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     reduce = False
     if min(tiles, cpus) > 1:
         # As many tiles as the output holds of the fewest rows whose run
-        # reaches ``least`` outputs, if the shortest one's run passes a
-        # third of the buffer and the longest one's products block, 8 bytes
-        # a value, fits in 8 _TILE_BYTES (2 MiB, one CPU's L2).
+        # reaches ``least`` outputs, if the longest one's products block fits.
         least = max(np.getbufsize() // 3 + 1, 2 * _TILE_BYTES // (8 * k * k))
         count = max(1, ny // (1 - min(0, (nx - least) // pitch)))
-        longest = (-(-ny // count) - 1) * pitch + nx
-        reduce = (3 * ((ny // count - 1) * pitch + nx) > np.getbufsize()
-                  and k * k * longest <= _TILE_BYTES)
+        reduce = k * k * ((-(-ny // count) - 1) * pitch + nx) <= _TILE_BYTES
         if reduce:
             tiles = count
-    direct = out.strides == (8 * pitch, 8) and (held or reduce)
+    direct = out.strides == (8 * pitch, 8) and (allocate or reduce)
     if direct:
         out_run = as_strided(out, ((ny - 1) * pitch + nx,), (8,))
     # Tile t holds output rows bounds[t]:bounds[t + 1], and block b tiles
@@ -246,36 +243,24 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     bounds = [t * ny // tiles for t in range(tiles + 1)]
     most = -(-ny // tiles)
     blocks = min(tiles, cpus)
-    size = (most - 1) * pitch + nx
-    offsets = [j * pitch + i if flip else i * pitch + j for i in range(k) for j in range(k)]
+    planes = k * k if reduce else 1
+    scratch = np.empty((blocks, planes + (0 if direct else 1), most * pitch))
     strides = (8, 8 * pitch, 8) if flip else (8 * pitch, 8, 8)
-    # The per-tap loop's scratch is pitch-wide planes of one allocation for
-    # every block, which measured up to 10 % faster on a 1024^2 interior
-    # than an allocation per plane (ROADMAP).
-    if not reduce:
-        planes = np.empty((blocks, 1 if direct else 2, most, pitch))
     work = [[] for _ in range(blocks)]
     for block, tiles_of_block in enumerate(work):
-        # Per block, the product scratch and, unless direct, an accumulator.
-        if reduce:
-            product, acc = np.empty(k * k * size), None if direct else np.empty((most, pitch))
-        else:
-            product, acc = planes[block, 0].reshape(-1), None if direct else planes[block, 1]
         for t in range(block * tiles // blocks, (block + 1) * tiles // blocks):
             y0, y1 = bounds[t], bounds[t + 1]
             n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
+            taps = np.ndarray((k, k, n), buffer=flat, offset=8 * y0 * pitch, strides=strides)
+            products = scratch[block].reshape(-1)[:planes * n].reshape(planes, n)
+            if not reduce:
+                taps, products = list(chain.from_iterable(taps)), products[0]
             if direct:
                 tile, copy = out_run[y0 * pitch:y0 * pitch + n], (None, None)
             else:
-                tile, copy = acc.reshape(-1)[:n], (out[y0:y1], acc[:y1 - y0, :nx])
-            if reduce:
-                taps = np.ndarray((k, k, n), buffer=flat, offset=8 * y0 * pitch, strides=strides)
-                tiles_of_block.append((taps, tile, product[:k * k * n].reshape(k * k, n), *copy))
-            else:
-                source = flat[y0 * pitch:]
-                taps = ([source[offset:offset + n] for offset in offsets].__iter__ if held
-                        else partial(_sliced, source, offsets, n))
-                tiles_of_block.append((taps, tile, product[:n], *copy))
+                acc = scratch[block, -1].reshape(most, pitch)[:y1 - y0]
+                tile, copy = acc.reshape(-1)[:n], (out[y0:y1], acc[:, :nx])
+            tiles_of_block.append((taps, tile, products, *copy))
 
     def run(kernel: np.ndarray) -> None:
         step = _reduce_rows if reduce else _accumulate_rows

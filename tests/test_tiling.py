@@ -230,8 +230,9 @@ def test_reduce_step_matches_untiled_reference(monkeypatch, run):
     # take the unpadded apply_method path. Fields are row-major and
     # column-major (taps along axis 0); the unpadded apply_method path
     # accumulates the interior in the output itself, and a prepared run in
-    # the output it allocates, from a (K, K, n) view held since it was
-    # prepared, so each run must read what the source then holds. A
+    # the output it allocates or in one the caller supplies (contiguous, so
+    # filled through scratch and a copy), from (K, K, n) views held since
+    # it was prepared, so each run must read what the source then holds. A
     # positive field with an all -0.0 kernel makes every product -0.0: the
     # sum must start from +0.0, as the untiled loop does.
     runs = []
@@ -250,11 +251,15 @@ def test_reduce_step_matches_untiled_reference(monkeypatch, run):
         field, kernel = field_and_kernel((8 * (k * k // 8) + 1, run + k - 1), k, seed=run + k)
         source = np.empty_like(field)
         held, rerun = _prepare(source, k)
+        supplied = np.empty((field.shape[0] - k + 1, run))
+        run_supplied = _prepare(source, k, supplied)[1]
         for values, weights in ((field, kernel), (np.abs(field) + 0.5, np.full((k, k), -0.0))):
             runs.clear()
             source[...] = values
             rerun(weights)
             assert_bitwise_equal(held, reference_accumulate(values, weights))
+            run_supplied(weights)
+            assert_bitwise_equal(supplied, reference_accumulate(values, weights))
             assert_bitwise_equal(conv2d_valid(values, weights), reference_accumulate(values, weights))
             transposed = np.asfortranarray(values.T)
             assert_bitwise_equal(conv2d_valid(transposed, weights),
@@ -267,6 +272,46 @@ def test_reduce_step_matches_untiled_reference(monkeypatch, run):
         runs.clear()
         assert_bitwise_equal(conv2d_valid(field, kernel), reference_accumulate(field, kernel))
         assert not runs
+
+
+def test_reduce_step_runs_are_past_the_buffer_third(monkeypatch):
+    # _prepare takes the two-call step wherever the longest tile's products
+    # block fits in _TILE_BYTES values, and tests no buffer condition: its
+    # tiles of the fewest rows whose run reaches more than a third of
+    # numpy's buffer must make every run n pass that third (and n >= 2, so
+    # numpy never sums a length-1 run pairwise), or leave one tile, whose
+    # block the bound refuses. A seeded sweep over K, two or three workers,
+    # the buffer size _prepare reads (numpy's 8,192, and patched to 64 and
+    # 16,384), _TILE_BYTES of K^2 runs a little under that third to three
+    # times it, and outputs of half a row tile to three, up to two runs
+    # wide. Every output must be the untiled one.
+    runs = []
+    reduce_rows = engine._reduce_rows
+
+    def spy(tiles, weights):
+        runs.extend(tile.size for _, tile, *_ in tiles)
+        reduce_rows(tiles, weights)
+
+    monkeypatch.setattr(engine, "_reduce_rows", spy)
+    rng = np.random.default_rng(29)
+    buffers = (np.getbufsize(), 64, 16384)
+    stepped = set()
+    for buffer, k in itertools.product(buffers, (3, 5, 7, 9)):
+        monkeypatch.setattr(np, "getbufsize", lambda: buffer)
+        for _ in range(5):
+            run = int(rng.integers(buffer // 3 - 2, buffer))
+            nx = int(rng.integers(1, 2 * run))
+            ny = -(-int(rng.uniform(0.5, 3.0) * k * k * run / 8) // nx)
+            field, kernel = field_and_kernel((ny + k - 1, nx + k - 1), k, seed=int(rng.integers(1 << 31)))
+            workers = int(rng.integers(2, 4))
+            monkeypatch.setattr(engine, "_TILE_BYTES", k * k * run)
+            monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+            runs.clear()
+            assert_bitwise_equal(conv2d_valid(field, kernel), reference_accumulate(field, kernel))
+            assert all(3 * n > buffer and n >= 2 for n in runs), (buffer, k, field.shape, run, runs)
+            if runs:
+                stepped.add(buffer)
+    assert stepped == set(buffers), stepped
 
 
 def test_workers_share_no_scratch(monkeypatch):
@@ -385,21 +430,25 @@ def test_partial_frame_rescale_matches_full_scale_map(k):
 def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
     # Traced peak of one call at 512^2, K = 3 (8 tiles, the fewest that make
     # no padded copy), with one and with two workers. Besides the full-size
-    # arrays there is each worker's product scratch, a few margin-sized
-    # arrays and the tiles' views (about 470 bytes a tile). The 510 x 510
-    # output (or interior), at the field's pitch of 512, is split into
-    # tiles spread evenly. One worker runs one product at a time over the
-    # 64-row tiles of _row_tiles, into a plane of product scratch that it
-    # adds to a plane of accumulator scratch. Two workers each run one
-    # multiply into a products block, K^2 values per output of the longest
-    # tile, over tiles of the fewest rows whose run reaches 2 * _TILE_BYTES
-    # / (8 K^2) outputs (more than a third of numpy's buffer), and sum it
-    # into the interior itself; conv2d_valid, whose output rows are narrower
-    # than the field's, into an accumulator plane. A plane has as many
-    # pitch-wide rows as the longest tile. An untiled accumulation adds
-    # one full-size product temporary per call, a padded copy, a stacked
-    # padding or a full-size scale map another, and the bound is below one
-    # more field.
+    # arrays there is the call's scratch, a few margin-sized arrays and the
+    # tiles' views: each tile holds one (K, K, n) view of the source, and a
+    # tile of the per-tap loop its K^2 rows too, about 1 KB a tile at K = 3,
+    # so the one-worker peak is about 7.3 KB above what it was when one-shot
+    # tiles sliced their taps per run, and sits 18-35 KB under the bound,
+    # the two-worker one 12-21 KB. The 510 x 510 output (or interior), at
+    # the field's pitch of 512, is split into tiles spread evenly. One
+    # worker runs one product at a time over the 64-row tiles of _row_tiles,
+    # into a plane of product scratch that it adds to a plane of
+    # accumulator scratch. Two workers each run one multiply into a products
+    # block, K^2 runs of the longest tile, over tiles of the fewest rows
+    # whose run reaches 2 * _TILE_BYTES / (8 K^2) outputs (more than a third
+    # of numpy's buffer), and sum it into the interior itself; conv2d_valid,
+    # whose output rows are narrower than the field's, into an accumulator
+    # plane. A plane has as many pitch-wide rows as the longest tile, and a
+    # worker's K^2 product planes are 2 values longer each than the bound
+    # counts. An untiled accumulation adds one full-size product temporary
+    # per call, a padded copy, a stacked padding or a full-size scale map
+    # another, and the bound is below one more field.
     field = np.random.default_rng(0).standard_normal((512, 512))
     kernel = np.full((3, 3), 1.0 / 9.0)
     padded_bytes = 514 * 514 * 8
