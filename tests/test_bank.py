@@ -95,7 +95,7 @@ def test_kernel_from_operator_unit_is_identity_kernel():
     (np.ones((3, 3)), r"coefficients must be a 1D vector, got shape \(3, 3\)"),
     (np.ones(8), "coefficient vector length 8 is not a square"),
     (np.array([1.0] * 8 + [np.nan]), "coefficients must be finite"),
-])
+], ids=["not-1d", "not-square", "not-finite"])
 def test_kernel_from_operator_rejects_bad_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         kernel_from_operator(coeffs)
