@@ -28,10 +28,19 @@ from .engine import (
     _check_finite,
     _distribution_stats,
     _draw_distribution,
+    _is_seed,
     _margin,
     _rescale_frame,
 )
-from .fields import FieldSpec, RandomKernelSpec, generate, random_kernels
+from .fields import (
+    FieldSpec,
+    RandomKernelSpec,
+    _cell_entropy,
+    _generate_state,
+    _streams,
+    generate,
+    random_kernels,
+)
 from .stencils import half_width
 
 CSV_HEADER = "family,order,method,kernel_index,eps1,eps2"
@@ -58,8 +67,8 @@ class BenchmarkConfig:
             raise ValueError(f"orders must be a non-empty list of integers >= 1, got {self.orders}")
         if self.filter_count < 1:
             raise ValueError(f"filter count must be >= 1, got {self.filter_count}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not _is_seed(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.methods:
             raise ValueError(f"methods must name at least one of {METHODS}")
         if bad := [m for m in self.methods if m not in METHODS]:
@@ -135,10 +144,14 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     (``engine._band_strips``): top and bottom side by side in one
     C-contiguous strip, left and right, transposed, in another. Each strip's
     accumulation is prepared once and run per kernel on the strip as each
-    order and ``distribution`` draw rewrote it, and slices of its output,
-    one block per band, are copied into views of every slot's row-major
-    frame, made once per call. ``partial``'s frame is its slot's times the
-    factor, written to a row of its own when ``zero``'s must stay unscaled.
+    order and ``distribution`` draw rewrote it. Kernel j's draw is
+    ``default_rng(derive_seed(seed, order, j))``'s stream: each order derives
+    its seeds in one bulk pass and sets their streams on one shared
+    Generator (``fields._generate_state`` and ``_streams``), with the same
+    bits. Slices of each strip's output, one block per band, are copied
+    into views of every slot's row-major frame, made once per call.
+    ``partial``'s frame is its slot's times the factor, written to a row of
+    its own when ``zero``'s must stay unscaled.
     Per chunk of kernels (``_TILE_BYTES`` of frame values, or one kernel's),
     eps1 and eps2 are the ``error_means`` over H*W of the frame pixels'
     errors in row-major order, a lane per (kernel, method), so they are
@@ -185,6 +198,10 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
                     dist = _margin("zero", fld.core, k)
                     dist_rows = dist[m:-m]
                     dist_stats = _distribution_stats(dist_rows, dist, k)
+                    # Each kernel's stream is default_rng(derive_seed(seed, order, j)):
+                    # the derived seeds' low and high words are its entropy.
+                    seeds = _generate_state(_cell_entropy((config.seed, order), len(kernels)), 2)
+                    streams = _streams(seeds)
                 else:
                     padded = _margin(margin, fld.core, k)
                     put(s, padded[m:-m], padded)
@@ -194,8 +211,7 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, ker in enumerate(kernels[j0:j0 + len(out)], start=j0):
                     if "distribution" in slot:
-                        _draw_distribution(dist_rows, dist, m, dist_stats,
-                                           derive_seed(config.seed, order, j))
+                        _draw_distribution(dist_rows, dist, m, dist_stats, next(streams))
                         put(slot["distribution"], dist_rows, dist)
                     run_tb(ker)
                     run_lr(ker)

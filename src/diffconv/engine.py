@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from threading import Thread
 
 import numpy as np
@@ -78,6 +77,11 @@ def as_field(field) -> np.ndarray:
     return arr
 
 
+def _is_seed(seed) -> bool:
+    # The seeds every stream takes: an int or numpy integer, >= 0.
+    return isinstance(seed, (int, np.integer)) and seed >= 0
+
+
 def _check_inputs(field: np.ndarray, k: int, method: str, seed: int = 0) -> None:
     """Raise ``ValueError`` naming ``method`` unless ``field`` holds what it
     reads: one pixel for the methods whose margin any pixel can fill, one
@@ -89,7 +93,7 @@ def _check_inputs(field: np.ndarray, k: int, method: str, seed: int = 0) -> None
     if h < need or w < need:
         what = "one pixel" if need == 1 else f"one complete window ({k}x{k})"
         raise ValueError(f"{method} got a field of shape {h}x{w}; it needs at least {what}")
-    if method == "distribution" and (not isinstance(seed, (int, np.integer)) or seed < 0):
+    if method == "distribution" and not _is_seed(seed):
         raise ValueError(f"distribution seed must be a non-negative integer, got {seed}")
 
 
@@ -254,7 +258,7 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
             taps = np.ndarray((k, k, n), buffer=flat, offset=8 * y0 * pitch, strides=strides)
             products = scratch[block].reshape(-1)[:planes * n].reshape(planes, n)
             if not reduce:
-                taps, products = list(chain.from_iterable(taps)), products[0]
+                taps, products = [taps[i, j] for i in range(k) for j in range(k)], products[0]
             if direct:
                 tile, copy = out_run[y0 * pitch:y0 * pitch + n], (None, None)
             else:
@@ -357,15 +361,15 @@ def _distribution_stats(tall: np.ndarray, wide: np.ndarray, k: int) -> tuple[tup
     return tuple((float(np.mean(band)), float(np.std(band, ddof=1))) for band in bands)
 
 
-def _draw_distribution(tall: np.ndarray, wide: np.ndarray, m: int, stats, seed: int) -> None:
+def _draw_distribution(tall: np.ndarray, wide: np.ndarray, m: int, stats, rng) -> None:
     # Overwrite the margin of ``tall`` and ``wide`` (as in _distribution_stats)
-    # with i.i.d. normal draws per edge. Stream: PCG64 via
-    # numpy.random.default_rng(seed), one standard_normal call split in fixed
-    # order left (H, m), right (H, m), top (m, W+2m), bottom (m, W+2m), so
-    # margins depend only on (seed, shape, k).
+    # with i.i.d. normal draws per edge from the Generator ``rng``, set to
+    # numpy.random.default_rng(seed)'s stream: one standard_normal call split
+    # in fixed order left (H, m), right (H, m), top (m, W+2m), bottom
+    # (m, W+2m), so margins depend only on (seed, shape, k).
     (mu_l, sd_l), (mu_r, sd_r), (mu_t, sd_t), (mu_b, sd_b) = stats
     h, w = tall.shape[0], wide.shape[1]
-    z = np.random.default_rng(seed).standard_normal(2 * m * (h + w))
+    z = rng.standard_normal(2 * m * (h + w))
     sides, ends = z[:2 * h * m].reshape(2, h, m), z[2 * h * m:].reshape(2, m, w)
     tall[:, :m] = mu_l + sd_l * sides[0]
     tall[:, -m:] = mu_r + sd_r * sides[1]
@@ -403,7 +407,8 @@ def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray
     rows = padded[m:-m]
     rows[:, m:-m] = field
     if method == "distribution":
-        _draw_distribution(rows, padded, m, _distribution_stats(rows, padded, k), seed)
+        _draw_distribution(rows, padded, m, _distribution_stats(rows, padded, k),
+                           np.random.default_rng(seed))
     _fill_ends(method, rows, k)
     _fill_ends(method, padded.T, k)
     return padded
@@ -425,7 +430,8 @@ def _margin_pieces(method: str, field: np.ndarray, k: int, seed: int):
     wide = np.zeros((rows.size + 2 * m, w + 2 * m))
     wide[m:-m, m:-m] = field[rows]
     if method == "distribution":
-        _draw_distribution(tall, wide, m, _distribution_stats(tall, wide, k), seed)
+        _draw_distribution(tall, wide, m, _distribution_stats(tall, wide, k),
+                           np.random.default_rng(seed))
     _fill_ends(method, tall, k)
     wide[m:-m, :m], wide[m:-m, -m:] = tall[rows, :m], tall[rows, -m:]
     _fill_ends(method, wide.T, k)

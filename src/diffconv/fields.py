@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import conv2d_valid
+from .engine import _is_seed, conv2d_valid
 from .stencils import as_kernel, half_width
 
 FAMILIES = ("chebyshev", "spherical", "polynomial")
@@ -161,21 +161,92 @@ class RandomKernelSpec:
         half_width(self.size)
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not _is_seed(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+# numpy's SeedSequence hash constants and PCG64 multiplier, fixed by its
+# stream-compatibility policy (NEP 19).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = (2549297995355413924 << 64) + 4865540595714422341, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    # init * mult**t mod 2**32 for t = 0..n, in Python ints: no scalar overflows.
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+def _cell_entropy(keys: tuple[int, ...], count: int) -> np.ndarray:
+    """The (count, L) uint32 entropy that ``SeedSequence([*keys, j])``
+    assembles for j < count: each key's little-endian 32-bit words (one
+    zero word for 0), then j."""
+    words = [int(key) >> s & 0xFFFFFFFF
+             for key in keys for s in range(0, max(int(key).bit_length(), 1), 32)]
+    entropy = np.empty((count, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(count)
+    return entropy
+
+
+def _generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words, np.uint32)`` for every row
+    of the (N, L) uint32 ``entropy``, as an (N, n_words) array; the uint64
+    state is its word pairs, low word first. Rows shorter than the pool of
+    4 words are padded with zeros, as SeedSequence pads them."""
+    length = max(entropy.shape[1], 4)
+    words = np.zeros((length, entropy.shape[0]), dtype=np.uint32)
+    words[:entropy.shape[1]] = entropy.T
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * length)[:, None]
+
+    def hashmix(value, t, n):  # hash calls t, ..., t + n - 1, a row of the result each
+        value = (value ^ a[t:t + n]) * a[t + 1:t + n + 1]
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ value >> 16
+
+    pool = hashmix(words[:4], 0, 4)
+    for src in range(4):  # src hashes into each other word, in word order
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for i, word in enumerate(words[4:]):
+        pool = mix(pool, hashmix(word, 16 + 4 * i, 4))
+    b = _hash_constants(_INIT_B, _MULT_B, n_words)[:, None]
+    state = (pool[np.arange(n_words) % 4] ^ b[:-1]) * b[1:]
+    return (state ^ state >> 16).T
+
+
+def _streams(entropy: np.ndarray):
+    """For each row of the (N, L) uint32 ``entropy``, in order, one shared
+    Generator set to the stream of ``default_rng(SeedSequence(row))``: its
+    PCG64 gets the state that seeding from the row's 4 uint64 words gives,
+    inc = 2 * initseq + 1 and state = ((inc + initstate) * M + inc) mod 2**128."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for w in _generate_state(entropy, 8).tolist():
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        inc = ((w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 | 1) & _MASK128
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def random_kernels(spec: RandomKernelSpec) -> list[np.ndarray]:
     """Kernels with i.i.d. entries uniform on [-1, 1].
 
-    Kernel ``j`` draws from PCG64 seeded with the pair (seed, j), so any
-    subset can be generated independently and in any order.
+    Kernel ``j`` draws from ``default_rng([seed, j])``'s stream, so any
+    subset can be generated independently and in any order. The streams are
+    seeded in bulk (:func:`_streams`), with the same bits.
     """
     k = spec.size
-    return [
-        np.random.default_rng([spec.seed, j]).uniform(-1.0, 1.0, size=(k, k))
-        for j in range(spec.count)
-    ]
+    return [rng.uniform(-1.0, 1.0, size=(k, k))
+            for rng in _streams(_cell_entropy((spec.seed,), spec.count))]
 
 
 def oracle_convolution(field: Field, kernel) -> np.ndarray:

@@ -28,18 +28,23 @@ from diffconv.stencils import half_width
 
 
 def test_seed_is_derived_once_per_cell_and_only_for_distribution(monkeypatch):
+    # Each order's cell seeds come from one bulk call on the entropy rows
+    # (seed, order, j), and only when distribution runs.
     calls = []
-    derive = benchmark.derive_seed
+    bulk = benchmark._generate_state
 
-    def counting(*args):
-        calls.append(args)
-        return derive(*args)
+    def counting(entropy, n_words):
+        calls.append((entropy.tolist(), n_words))
+        return bulk(entropy, n_words)
 
-    monkeypatch.setattr(benchmark, "derive_seed", counting)
+    monkeypatch.setattr(benchmark, "_generate_state", counting)
     config = BenchmarkConfig(family="chebyshev", orders=(1, 2), height=12, width=12,
                              size=3, filter_count=3, seed=5)
     full = run_benchmark(config)
-    assert sorted(calls) == [(5, order, j) for order in (1, 2) for j in range(3)]
+    assert [n_words for _, n_words in calls] == [2, 2]
+    assert sorted(row for rows, _ in calls for row in rows) == [
+        [5, order, j] for order in (1, 2) for j in range(3)
+    ]
     calls.clear()
     subset = run_benchmark(dataclasses.replace(config, methods=("diff", "zero")))
     assert calls == []
@@ -333,6 +338,8 @@ def test_each_call_validates_its_field_once(monkeypatch, method):
     ({"orders": (0, 1, 2)}, r"orders must be a non-empty list of integers >= 1, got \(0, 1, 2\)"),
     ({"filter_count": 0}, "filter count must be >= 1, got 0"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
     ({"size": 4}, r"kernel size must be one of \(3, 5, 7, 9\), got 4"),
     ({"height": 2}, "field 2x8 is smaller than the kernel size 3"),
     ({"width": 6, "size": 7}, "field 8x6 is smaller than the kernel size 7"),

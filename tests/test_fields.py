@@ -6,11 +6,15 @@ from conftest import identity_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffconv.benchmark import derive_seed
 from diffconv.engine import conv2d_valid
 from diffconv.fields import (
     Field,
     FieldSpec,
     RandomKernelSpec,
+    _cell_entropy,
+    _generate_state,
+    _streams,
     chebyshev_U,
     generate,
     oracle_convolution,
@@ -209,6 +213,43 @@ def test_random_kernel_spec_validation():
         RandomKernelSpec(size=4, count=1, seed=0)
     with pytest.raises(ValueError):
         RandomKernelSpec(size=3, count=1, seed=-1)
+
+
+@pytest.mark.parametrize("seed,shown", [(-1, "-1"), (1.5, "1.5"), ("3", "'3'")])
+def test_random_kernel_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed, shown):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {shown}$"):
+        RandomKernelSpec(size=3, count=1, seed=seed)
+
+
+def test_random_kernels_take_a_numpy_integer_seed():
+    spec = RandomKernelSpec(size=3, count=2, seed=np.uint64(2**64 - 1))
+    expected = random_kernels(RandomKernelSpec(size=3, count=2, seed=2**64 - 1))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(random_kernels(spec), expected))
+
+
+@pytest.mark.parametrize("count", [1, 100])
+@pytest.mark.parametrize("order", [1, 2**32 + 1])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+def test_bulk_seeding_matches_numpy_bitwise(seed, order, count):
+    # The bulk path against numpy's own objects, row by row: SeedSequence's
+    # state for (seed, order, j), whose entropy runs past the pool of 4 words
+    # at order 2**32 + 1; derive_seed; default_rng's stream of each derived
+    # seed; and random_kernels' default_rng([seed, j]).
+    entropy = _cell_entropy((seed, order), count)
+    state, derived = _generate_state(entropy, 8), _generate_state(entropy, 2)
+    for j in range(count):
+        sequence = np.random.SeedSequence([seed, order, j])
+        assert state[j].astype("<u4").view("<u8").tolist() == \
+            sequence.generate_state(4, np.uint64).tolist()
+        assert derived[j].astype("<u4").view("<u8").tolist() == [derive_seed(seed, order, j)]
+    drawn = [rng.standard_normal(9).tobytes() for rng in _streams(derived)]
+    assert drawn == [np.random.default_rng(derive_seed(seed, order, j)).standard_normal(9).tobytes()
+                     for j in range(count)]
+    kernels = random_kernels(RandomKernelSpec(size=3, count=count, seed=seed))
+    assert [kernel.tobytes() for kernel in kernels] == [
+        np.random.default_rng([seed, j]).uniform(-1.0, 1.0, size=(3, 3)).tobytes()
+        for j in range(count)
+    ]
 
 
 def test_oracle_constant_field():
