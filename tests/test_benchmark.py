@@ -338,11 +338,11 @@ def test_each_call_validates_its_field_once(monkeypatch, method):
     ({"orders": (0, 1, 2)}, r"orders must be a non-empty list of integers >= 1, got \(0, 1, 2\)"),
     ({"filter_count": 0}, "filter count must be >= 1, got 0"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
-    ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
     ({"size": 4}, r"kernel size must be one of \(3, 5, 7, 9\), got 4"),
     ({"height": 2}, "field 2x8 is smaller than the kernel size 3"),
     ({"width": 6, "size": 7}, "field 8x6 is smaller than the kernel size 7"),
+    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
 ])
 def test_config_rejects_each_constraint_by_name(change, message):
     valid = dict(family="chebyshev", orders=(1,), height=8, width=8, size=3, filter_count=1, seed=0)
