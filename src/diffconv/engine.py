@@ -99,9 +99,7 @@ def _check_inputs(field: np.ndarray, k: int, method: str, seed: int = 0) -> None
 
 # Rows per tile are chosen so that one output tile is about this many bytes:
 # the tile's accumulator, its scratch product and the input rows they read
-# then stay in cache across the K^2 passes. An output of more than one such
-# tile, split over two or more CPUs, is retiled so that its products block
-# takes at least twice this and at most 8 times, one CPU's L2 (_prepare).
+# then stay in cache across the K^2 passes.
 _TILE_BYTES = 256 * 1024
 
 
@@ -113,15 +111,15 @@ def _cpu_count() -> int:
 
 
 def _accumulate_rows(tiles, weights) -> None:
-    # One block's prepared (taps, tile, product, rows, done) tiles, run as
-    # 2K^2 + 1 short calls: the step for runs too short for _reduce_rows.
-    # ``taps`` holds the tile's K^2 taps in (i, j) order, the rows of its
-    # (K, K, n) view of the source, each one contiguous 1-D run at its
-    # offset. Each tap's product is written into ``product`` and added to
-    # ``tile``. Each tile row ends in K-1 windows that wrap into the next
-    # source row: where ``tile`` is the output's own memory they land in the
-    # columns beyond its view; from scratch only the first nx columns,
-    # ``done``, are copied into ``rows`` of the output.
+    # One block's prepared (taps, tile, product, rows, done) tiles, each run
+    # as 2K^2 + 1 short calls. ``taps`` holds the tile's K^2 taps in (i, j)
+    # order, the rows of its (K, K, n) view of the source, each one
+    # contiguous 1-D run at its offset. Each tap's product is written into
+    # ``product`` and added to ``tile``, which starts from 0.0. Each tile row
+    # ends in K-1 windows that wrap into the next source row: where ``tile``
+    # is the output's own memory they land in the columns beyond its view;
+    # from scratch only the first nx columns, ``done``, are copied into
+    # ``rows`` of the output.
     for taps, tile, product, rows, done in tiles:
         tile.fill(0.0)
         for tap, weight in zip(taps, weights):
@@ -131,29 +129,14 @@ def _accumulate_rows(tiles, weights) -> None:
             rows[...] = done
 
 
-def _reduce_rows(tiles, weights) -> None:
-    # The same tiles in two long calls each, so a block holds the GIL only
-    # between them: ``taps`` is the tile's (K, K, n) view of its source,
-    # multiplied by the (K, K, 1) weights into the block's (K^2, n)
-    # ``products``, which one reduction sums down axis 0 into ``tile``. The
-    # reduction starts from +0.0 and adds the rounded products in (i, j)
-    # order, as _accumulate_rows does, so no bit moves. At n = 1 numpy would
-    # sum the K^2 products pairwise instead; _prepare never makes such a tile.
-    for taps, tile, products, rows, done in tiles:
-        np.multiply(taps, weights, products.reshape(taps.shape))
-        np.add.reduce(products, axis=0, out=tile, initial=0.0)
-        if rows is not None:
-            rows[...] = done
-
-
-def _accumulate_worker(errors: list, step, *args) -> None:
+def _accumulate_worker(errors: list, *args) -> None:
     # A new thread starts with numpy's default error state, not the caller's:
     # ignore overflow as every caller does (it checks the output), and hand
     # any exception to the caller, since a lost one would leave the block's
     # rows of the output unwritten.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            step(*args)
+            _accumulate_rows(*args)
     except BaseException as exc:
         errors.append(exc)
 
@@ -163,122 +146,82 @@ def _column_major(field: np.ndarray) -> bool:
     return abs(field.strides[1]) > abs(field.strides[0])
 
 
-def _row_tiles(ny: int, nx: int) -> tuple[int, int]:
-    """(rows per tile, tile count) of an ny x nx valid output: one tile's
-    accumulator is about ``_TILE_BYTES``."""
-    rows = max(1, _TILE_BYTES // (8 * nx))
-    return rows, -(-ny // rows)
+def _row_tiles(ny: int, nx: int) -> int:
+    """The row-tile count of an ny x nx valid output: one tile's accumulator
+    is about ``_TILE_BYTES``."""
+    return -(-ny // max(1, _TILE_BYTES // (8 * nx)))
 
 
 def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     # (out, run): the valid product-sum of ``field`` with any K x K kernel,
     # set up once; ``run(kernel)`` writes it into ``out``, in the input's
     # layout. Every output starts from 0.0 and adds the rounded products in
-    # (i, j) order, whatever the tiles and the step, so a window's arithmetic
-    # is the same wherever it appears. A column-major array runs on its
-    # transposed view, so every pass runs along the contiguous axis. The
-    # source is read in place as one row-major run, so each run sees what it
-    # then holds; a strided input is copied here. The tiles are split into n
-    # blocks, n the smaller of the tile count and the CPUs this process may
-    # run on: the caller runs block 0 and a thread per block the rest, each
-    # with its own scratch. A pixel is computed by one tile alone, so the
-    # bits do not depend on n; one block starts no thread.
+    # (i, j) order (_accumulate_rows), whatever the tiles, so a window's
+    # arithmetic is the same wherever it appears. A column-major array runs
+    # on its transposed view, so every pass runs along the contiguous axis.
+    # The source is read in place as one row-major run, so each run sees
+    # what it then holds; a strided input is copied here. The tiles are
+    # split into n blocks, n the smaller of the tile count and the CPUs this
+    # process may run on: the caller runs block 0 and a thread per block the
+    # rest, each with its own scratch. A pixel is computed by one tile
+    # alone, so the bits do not depend on n; one block starts no thread.
     #
-    # One block runs the K^2 multiply-adds per tile (_accumulate_rows): an
-    # output of one tile (``compare``'s strips, small fields), or any output
-    # where the process may run on one CPU, where that step was the faster.
-    # Where two or more blocks run, a longer output is split into tiles whose
-    # products block, K^2 values per output, takes about the two tiles of
-    # scratch that step would, and each tile is one multiply and one
-    # reduction (_reduce_rows): numpy releases the GIL inside each call, and
-    # 2K^2 + 1 short calls per tile held two blocks to about 1.3x of one
-    # (README). Each such tile has more than a third of numpy's buffer size
-    # of outputs, as numpy buffers a multi-axis multiply with a broadcast
-    # operand over shorter runs, 3-4x slower per product (ROADMAP), so from
-    # K = 5 the block is larger. The step is taken where the longest tile's
-    # block fits in 8 _TILE_BYTES (2 MiB, one CPU's L2): that refuses an
-    # output with room for only one such tile, whose run is longer than
-    # _TILE_BYTES / 8 outputs, and one whose block would outgrow L2 (K = 9
-    # at 1024 wide), where the two-call step measured slower (README).
-    #
-    # Every tile's taps are one (K, K, n) strided view of the source, made
-    # here, so no run slices anything; the per-tap loop holds its K^2 rows.
-    # Each block's scratch is a product plane per tap of the two-call step,
-    # or one for the per-tap loop, and, unless the tile sums in place, an
-    # accumulator plane, all planes as many pitch-wide rows as the longest
-    # tile and all blocks' planes one allocation. A tile's K^2 products lie
-    # back to back from the block's first plane on: products a plane apart
-    # measured 2-8 % slower on two threads (ROADMAP). A tile sums in place
-    # where the output's rows lie at the source's pitch (the one _prepare
-    # allocates, pitch-wide, and returns as its first nx columns, or, for
-    # the two-call step, the interior of a field-sized output): the K-1
-    # windows per row that wrap into the next source row land in the
-    # columns beyond the view, which the caller overwrites or never reads.
-    # Otherwise (``_accumulate``'s contiguous output, a column-major field's
-    # interior, or the per-tap loop over a field-sized output's interior,
-    # whose K^2 passes over it measured 5-10 % slower at K = 7 and 9 than
-    # over scratch) a tile is accumulated in its block's accumulator plane
-    # and its first nx columns are copied into the output.
+    # Every tile's taps are the K^2 rows of one (K, K, n) strided view of
+    # the source, made here, so no run slices anything. Each block's scratch
+    # is a product plane and, unless the tile sums in place, an accumulator
+    # plane, each as many pitch-wide rows as the longest tile, and all
+    # blocks' planes are one allocation. A tile sums in place where _prepare
+    # allocates the output, pitch-wide, and returns its first nx columns:
+    # the K-1 windows per row that wrap into the next source row land in the
+    # columns beyond the view, which no caller reads. Otherwise
+    # (``_accumulate``'s contiguous output, or a field-sized output's
+    # interior, whose K^2 passes over it measured 5-10 % slower at K = 7 and
+    # 9 than over scratch) a tile is accumulated in its block's accumulator
+    # plane and its first nx columns are copied into the output.
     flip = _column_major(field)
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
     ny, nx = src.shape[0] - k + 1, pitch - k + 1
-    allocate = out is None
-    if allocate:
+    direct = out is None
+    if direct:
         out = np.empty(ny * pitch).reshape(ny, pitch)[:, :nx]
+        out_run = as_strided(out, ((ny - 1) * pitch + nx,), (8,))
     elif flip:
         out = out.T
-    tiles = _row_tiles(ny, nx)[1]
-    cpus = _cpu_count() if tiles > 1 else 1
-    reduce = False
-    if min(tiles, cpus) > 1:
-        # As many tiles as the output holds of the fewest rows whose run
-        # reaches ``least`` outputs, if the longest one's products block fits.
-        least = max(np.getbufsize() // 3 + 1, 2 * _TILE_BYTES // (8 * k * k))
-        count = max(1, ny // (1 - min(0, (nx - least) // pitch)))
-        reduce = k * k * ((-(-ny // count) - 1) * pitch + nx) <= _TILE_BYTES
-        if reduce:
-            tiles = count
-    direct = out.strides == (8 * pitch, 8) and (allocate or reduce)
-    if direct:
-        out_run = as_strided(out, ((ny - 1) * pitch + nx,), (8,))
+    tiles = _row_tiles(ny, nx)
+    blocks = min(tiles, _cpu_count()) if tiles > 1 else 1
     # Tile t holds output rows bounds[t]:bounds[t + 1], and block b tiles
     # b * tiles // blocks onwards; the shortest tile has ny // tiles rows.
     bounds = [t * ny // tiles for t in range(tiles + 1)]
     most = -(-ny // tiles)
-    blocks = min(tiles, cpus)
-    planes = k * k if reduce else 1
-    scratch = np.empty((blocks, planes + (0 if direct else 1), most * pitch))
+    scratch = np.empty((blocks, 1 if direct else 2, most * pitch))
     strides = (8, 8 * pitch, 8) if flip else (8 * pitch, 8, 8)
     work = [[] for _ in range(blocks)]
     for block, tiles_of_block in enumerate(work):
         for t in range(block * tiles // blocks, (block + 1) * tiles // blocks):
             y0, y1 = bounds[t], bounds[t + 1]
             n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
-            taps = np.ndarray((k, k, n), buffer=flat, offset=8 * y0 * pitch, strides=strides)
-            products = scratch[block].reshape(-1)[:planes * n].reshape(planes, n)
-            if not reduce:
-                taps, products = [taps[i, j] for i in range(k) for j in range(k)], products[0]
+            view = np.ndarray((k, k, n), buffer=flat, offset=8 * y0 * pitch, strides=strides)
+            taps = [view[i, j] for i in range(k) for j in range(k)]
             if direct:
                 tile, copy = out_run[y0 * pitch:y0 * pitch + n], (None, None)
             else:
-                acc = scratch[block, -1].reshape(most, pitch)[:y1 - y0]
+                acc = scratch[block, 1].reshape(most, pitch)[:y1 - y0]
                 tile, copy = acc.reshape(-1)[:n], (out[y0:y1], acc[:, :nx])
-            tiles_of_block.append((taps, tile, products, *copy))
+            tiles_of_block.append((taps, tile, scratch[block, 0, :n], *copy))
 
     def run(kernel: np.ndarray) -> None:
-        step = _reduce_rows if reduce else _accumulate_rows
-        weights = kernel[:, :, None] if reduce else kernel.ravel().tolist()
+        weights = kernel.ravel().tolist()
         if blocks == 1:
-            step(work[0], weights)
+            _accumulate_rows(work[0], weights)
             return
         errors = []
-        threads = [Thread(target=_accumulate_worker, args=(errors, step, block, weights))
+        threads = [Thread(target=_accumulate_worker, args=(errors, block, weights))
                    for block in work[1:]]
         for thread in threads:
             thread.start()
         try:
-            step(work[0], weights)
+            _accumulate_rows(work[0], weights)
         finally:
             for thread in threads:
                 thread.join()
@@ -484,11 +427,7 @@ def _accumulate_unpadded(method: str, field: np.ndarray, kernel: np.ndarray, see
     h, w = field.shape
     out = np.empty((h, w))
     # The interior first, so its scratch is freed before the frame's pieces
-    # and strips are made: the call holds one full-size array. Where it runs
-    # the two-call step, a row-major field's interior sums straight into
-    # ``out``, whose rows have the field's pitch; the windows that wrap past
-    # a row's end land in the frame's columns, which the frame then
-    # overwrites.
+    # and strips are made: the call holds one full-size array.
     if min(h, w) >= k:
         _prepare(field, k, out[m:-m, m:-m])[1](kernel)
     put, runs, ends, sides = _band_strips(h, w, k)
@@ -555,7 +494,7 @@ def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.nda
         # padded copy grows with the field: without the copy, calls were
         # measured faster or level at every K from 8 row tiles (512^2) on,
         # and up to 1.7x slower at one or two tiles (README).
-        if _row_tiles(*arr.shape)[1] >= 8:
+        if _row_tiles(*arr.shape) >= 8:
             out = _accumulate_unpadded(method, arr, ker, seed)
         else:
             out = _accumulate(_margin(method, arr, k, seed), ker)

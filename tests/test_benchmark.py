@@ -457,6 +457,30 @@ def test_error_means_sums_in_order_at_every_lane_count(lanes):
         assert_left_to_right_sum(np.abs(signed_magnitudes(rng, (lanes, length))), length)
 
 
+def test_numpy_adds_down_axis_0_in_order():
+    # The numpy behaviour error_means relies on: np.add.reduce(x, axis=0)
+    # over a C-contiguous (n, lanes) array adds each lane in order from row
+    # 0. A 2^-53 added to 1.0 alone rounds away, so a lane of 1.0 and then
+    # fifteen 2^-53 sums to 1.0 in order, but above 1.0 pairwise, where the
+    # small values first meet each other; the reversed lane differs too.
+    def in_order(values):
+        total = values[0]
+        for value in values[1:]:
+            total += value
+        return total
+
+    def pairwise(values):
+        half = len(values) // 2
+        return values[0] if half == 0 else pairwise(values[:half]) + pairwise(values[half:])
+
+    lane = [1.0] + [2.0 ** -53] * 15
+    lanes = [lane, lane[::-1]]
+    assert all(in_order(values) != pairwise(values) for values in lanes)
+    sums = np.empty(2)
+    np.add.reduce(np.array(lanes).T.copy(), axis=0, out=sums)
+    assert sums.tolist() == [in_order(values) for values in lanes]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(), (1,), (2,), (1, 1), (3,), (1, 4), (5,), (2, 3), (7,), (2, 4), (3, 3), (9,)]),
        st.integers(1, 5000), st.integers(0, 2**32 - 1))

@@ -1,8 +1,8 @@
 """Row-tiled accumulation against the untiled references, with its tiles
-split over one or more threads and run one product at a time or as one
-multiply and one sum, the windows that wrap at the row pitch, the full-size
-arrays each size-keeping call allocates, and output bits that do not depend
-on the input's memory order."""
+split over one or more threads, prepared runs that re-read their source, the
+windows that wrap at the row pitch, the full-size arrays each size-keeping
+call allocates, and output bits that do not depend on the input's memory
+order."""
 
 import itertools
 import sys
@@ -215,133 +215,54 @@ def test_column_major_band_stacks_match_untiled_reference(monkeypatch, k):
     assert _accumulate(np.ascontiguousarray(strip), kernel).flags.c_contiguous
 
 
-@pytest.mark.parametrize("run", [2048, 2731, 3000, 8193])
-def test_reduce_step_matches_untiled_reference(monkeypatch, run):
-    # One multiply and one sum per tile (_reduce_rows), each tile one output
-    # row of ``run`` values, on either side of a third of numpy's 8,192-value
-    # buffer: numpy buffers the multiply of shorter runs and not of longer
-    # ones, and the bits must not depend on it. _prepare takes the step only
-    # where two or more blocks run (with one worker every output keeps the
-    # per-tap loop), only above that third (so at 2,048 its rule alone is
-    # told the buffer is empty), and only for a products block of at most
-    # _TILE_BYTES values: here K^2 runs, and then one value fewer, which
-    # keeps the per-tap loop. Either way the untiled output has ten rows a
-    # tile at K = 9 and one at K = 3, so fields of 8 (K^2 // 8) + 1 rows
-    # take the unpadded apply_method path. Fields are row-major and
-    # column-major (taps along axis 0); the unpadded apply_method path
-    # accumulates the interior in the output itself, and a prepared run in
-    # the output it allocates or in one the caller supplies (contiguous, so
-    # filled through scratch and a copy), from (K, K, n) views held since
-    # it was prepared, so each run must read what the source then holds. A
-    # positive field with an all -0.0 kernel makes every product -0.0: the
-    # sum must start from +0.0, as the untiled loop does.
-    runs = []
-    reduce_rows = engine._reduce_rows
-
-    def spy(tiles, weights):
-        runs.extend(tile.size for _, tile, *_ in tiles)
-        reduce_rows(tiles, weights)
-
-    monkeypatch.setattr(engine, "_reduce_rows", spy)
-    if 3 * run <= np.getbufsize():
-        monkeypatch.setattr(np, "getbufsize", lambda: 0)
-    for k, workers in itertools.product((3, 9), WORKERS):
-        monkeypatch.setattr(engine, "_TILE_BYTES", k * k * run)
+@pytest.mark.parametrize("k", [3, 9])
+def test_prepared_runs_read_what_the_source_holds(monkeypatch, k):
+    # A prepared run reads its source through tap views held since it was
+    # prepared, so each run must see what the source then holds, whether it
+    # sums in place in the output _prepare allocates or fills one the caller
+    # supplies (contiguous, so through scratch and a copy), and whether the
+    # source is row-major or column-major (taps along axis 0). Two-row tiles
+    # over one, two and three workers. A positive field with an all -0.0
+    # kernel makes every product -0.0: each sum must start from +0.0, as the
+    # untiled loop does.
+    shape = (2 * k + 5, 3 * k + 2)
+    ny, nx = shape[0] - k + 1, shape[1] - k + 1
+    field, kernel = field_and_kernel(shape, k, seed=k)
+    for workers, order in itertools.product(WORKERS, "CF"):
         monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
-        field, kernel = field_and_kernel((8 * (k * k // 8) + 1, run + k - 1), k, seed=run + k)
-        source = np.empty_like(field)
-        held, rerun = _prepare(source, k)
-        supplied = np.empty((field.shape[0] - k + 1, run))
+        monkeypatch.setattr(engine, "_TILE_BYTES", 2 * 8 * (nx if order == "C" else ny))
+        source = np.empty(shape, order=order)
+        held, run_held = _prepare(source, k)
+        supplied = np.empty((ny, nx), order=order)
         run_supplied = _prepare(source, k, supplied)[1]
         for values, weights in ((field, kernel), (np.abs(field) + 0.5, np.full((k, k), -0.0))):
-            runs.clear()
             source[...] = values
-            rerun(weights)
-            assert_bitwise_equal(held, reference_accumulate(values, weights))
-            run_supplied(weights)
-            assert_bitwise_equal(supplied, reference_accumulate(values, weights))
-            assert_bitwise_equal(conv2d_valid(values, weights), reference_accumulate(values, weights))
-            transposed = np.asfortranarray(values.T)
-            assert_bitwise_equal(conv2d_valid(transposed, weights),
-                                 reference_accumulate(np.ascontiguousarray(transposed), weights))
-            assert set(runs) == ({run} if workers > 1 else set())
-            assert_bitwise_equal(apply_method("zero", values, weights),
-                                 reference_method("zero", values, weights, seed=0))
-        # One value more than _TILE_BYTES in the block keeps the per-tap loop.
-        monkeypatch.setattr(engine, "_TILE_BYTES", k * k * run - 1)
-        runs.clear()
-        assert_bitwise_equal(conv2d_valid(field, kernel), reference_accumulate(field, kernel))
-        assert not runs
-
-
-def test_reduce_step_runs_are_past_the_buffer_third(monkeypatch):
-    # _prepare takes the two-call step wherever the longest tile's products
-    # block fits in _TILE_BYTES values, and tests no buffer condition: its
-    # tiles of the fewest rows whose run reaches more than a third of
-    # numpy's buffer must make every run n pass that third (and n >= 2, so
-    # numpy never sums a length-1 run pairwise), or leave one tile, whose
-    # block the bound refuses. A seeded sweep over K, two or three workers,
-    # the buffer size _prepare reads (numpy's 8,192, and patched to 64 and
-    # 16,384), _TILE_BYTES of K^2 runs a little under that third to three
-    # times it, and outputs of half a row tile to three, up to two runs
-    # wide. Every output must be the untiled one.
-    runs = []
-    reduce_rows = engine._reduce_rows
-
-    def spy(tiles, weights):
-        runs.extend(tile.size for _, tile, *_ in tiles)
-        reduce_rows(tiles, weights)
-
-    monkeypatch.setattr(engine, "_reduce_rows", spy)
-    rng = np.random.default_rng(29)
-    buffers = (np.getbufsize(), 64, 16384)
-    stepped = set()
-    for buffer, k in itertools.product(buffers, (3, 5, 7, 9)):
-        monkeypatch.setattr(np, "getbufsize", lambda: buffer)
-        for _ in range(5):
-            run = int(rng.integers(buffer // 3 - 2, buffer))
-            nx = int(rng.integers(1, 2 * run))
-            ny = -(-int(rng.uniform(0.5, 3.0) * k * k * run / 8) // nx)
-            field, kernel = field_and_kernel((ny + k - 1, nx + k - 1), k, seed=int(rng.integers(1 << 31)))
-            workers = int(rng.integers(2, 4))
-            monkeypatch.setattr(engine, "_TILE_BYTES", k * k * run)
-            monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
-            runs.clear()
-            assert_bitwise_equal(conv2d_valid(field, kernel), reference_accumulate(field, kernel))
-            assert all(3 * n > buffer and n >= 2 for n in runs), (buffer, k, field.shape, run, runs)
-            if runs:
-                stepped.add(buffer)
-    assert stepped == set(buffers), stepped
+            want = reference_accumulate(values, weights)
+            for run, out in ((run_held, held), (run_supplied, supplied)):
+                run(weights)
+                assert_bitwise_equal(out, want)
 
 
 def test_workers_share_no_scratch(monkeypatch):
     # More workers than CPUs, short tiles and a short switch interval, so
-    # the blocks interleave; a scratch tile or products block shared between
-    # two of them corrupts the output. At numpy's buffer size the 400-value
-    # rows are retiled from ten rows a tile into tiles of 7 or 8 rows, each
-    # one multiply and one sum into a block of 9 x 3,214 values, within
-    # _TILE_BYTES values; told the buffer is larger than any run, the rule
-    # keeps the ten-row tiles, one product at a time.
+    # the blocks interleave; a product or accumulator plane shared between
+    # two of them corrupts the output. Ten-row tiles, accumulated through
+    # scratch into _accumulate's output and in place in the one a prepared
+    # run allocates.
     field, kernel = field_and_kernel((130, 402), 3, seed=1)
     want = reference_accumulate(field, kernel)
-    ran = set()
-    for name in ("_reduce_rows", "_accumulate_rows"):
-        def spy(tiles, weights, step=getattr(engine, name), name=name):
-            ran.add(name)
-            step(tiles, weights)
-        monkeypatch.setattr(engine, name, spy)
     workers = engine._cpu_count() + 2
     monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
     monkeypatch.setattr(engine, "_TILE_BYTES", 10 * 8 * 400)
+    held, run = _prepare(field, 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for buffer, step in ((np.getbufsize(), "_reduce_rows"), (1 << 40, "_accumulate_rows")):
-            monkeypatch.setattr(np, "getbufsize", lambda: buffer)
-            ran.clear()
-            for _ in range(20):
-                assert_bitwise_equal(_accumulate(field, kernel), want)
-            assert ran == {step}
+        for _ in range(20):
+            assert_bitwise_equal(_accumulate(field, kernel), want)
+            held.fill(np.nan)
+            run(kernel)
+            assert_bitwise_equal(held, want)
     finally:
         sys.setswitchinterval(interval)
 
@@ -431,45 +352,25 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
     # Traced peak of one call at 512^2, K = 3 (8 tiles, the fewest that make
     # no padded copy), with one and with two workers. Besides the full-size
     # arrays there is the call's scratch, a few margin-sized arrays and the
-    # tiles' views: each tile holds one (K, K, n) view of the source, and a
-    # tile of the per-tap loop its K^2 rows too, about 1 KB a tile at K = 3,
-    # so the one-worker peak is about 7.3 KB above what it was when one-shot
-    # tiles sliced their taps per run, and sits 18-35 KB under the bound,
-    # the two-worker one 12-21 KB. The 510 x 510 output (or interior), at
-    # the field's pitch of 512, is split into tiles spread evenly. One
-    # worker runs one product at a time over the 64-row tiles of _row_tiles,
-    # into a plane of product scratch that it adds to a plane of
-    # accumulator scratch. Two workers each run one multiply into a products
-    # block, K^2 runs of the longest tile, over tiles of the fewest rows
-    # whose run reaches 2 * _TILE_BYTES / (8 K^2) outputs (more than a third
-    # of numpy's buffer), and sum it into the interior itself; conv2d_valid,
-    # whose output rows are narrower than the field's, into an accumulator
-    # plane. A plane has as many pitch-wide rows as the longest tile, and a
-    # worker's K^2 product planes are 2 values longer each than the bound
-    # counts. An untiled accumulation adds one full-size product temporary
-    # per call, a padded copy, a stacked padding or a full-size scale map
-    # another, and the bound is below one more field.
+    # tiles' views. The 510 x 510 output (or interior), at the field's pitch
+    # of 512, is split into the 64-row tiles of _row_tiles. Each worker
+    # accumulates its tiles through a product plane and an accumulator plane
+    # (every output here is supplied to _prepare, so none sums in place),
+    # each as many pitch-wide rows as the longest tile, and each tile holds
+    # its K^2 taps as 1-D views of the source, allowed 128 B a view (numpy
+    # 2.4.6 traces 122 B). The peak sits 7.7-26 KB under the bound. An
+    # untiled accumulation adds one full-size product temporary per call, a
+    # padded copy, a stacked padding or a full-size scale map another, and
+    # the bound is below one more field.
     field = np.random.default_rng(0).standard_normal((512, 512))
     kernel = np.full((3, 3), 1.0 / 9.0)
     padded_bytes = 514 * 514 * 8
-
-    def scratch_bytes(tiles, products):
-        # One worker's, for ``tiles`` tiles: the per-tap loop's product and
-        # accumulator planes (products == 1), or a products block of that
-        # many values per output of the longest tile and, for conv2d_valid,
-        # an accumulator plane.
-        plane = 512 * -(-510 // tiles)
-        if products == 1:
-            return 8 * 2 * plane
-        return 8 * (products * (plane - 2) + (plane if function is conv2d_valid else 0))
-
-    one_tiles = engine._row_tiles(510, 510)[1]
-    least = max(np.getbufsize() // 3 + 1, 2 * engine._TILE_BYTES // (8 * 9))
-    two_tiles = 510 // (1 + -(-(least - 510) // 512))
-    scratch = {1: scratch_bytes(one_tiles, 1), 2: 2 * scratch_bytes(two_tiles, 9)}
-    views_bytes = 512 * max(one_tiles, two_tiles)
-    bound = full_size_arrays * padded_bytes + views_bytes + max(scratch.values())
-    assert bound < (full_size_arrays + 1) * field.nbytes
+    tiles = engine._row_tiles(510, 510)
+    planes_bytes = 2 * 8 * 512 * -(-510 // tiles)  # one worker's
+    views_bytes = tiles * kernel.size * 128
+    bound = {workers: full_size_arrays * padded_bytes + views_bytes + workers * planes_bytes
+             for workers in (1, 2)}
+    assert bound[2] < (full_size_arrays + 1) * field.nbytes
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
         tracemalloc.start()
@@ -480,7 +381,7 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
         finally:
             tracemalloc.stop()
         assert full_size_arrays * field.nbytes <= peak
-        assert peak <= full_size_arrays * padded_bytes + views_bytes + scratch[workers]
+        assert peak <= bound[workers]
 
 
 @pytest.mark.parametrize("k", [3, 5])
