@@ -11,8 +11,8 @@ in row-major order (``np.add.accumulate``'s order) over the pixel count;
 :func:`error_means` takes both, lane by lane, from one copy of a chunk's
 differences. A zero error adds nothing to that sum, so summing only the
 non-zero pixels, in the same order, gives the same bits. ``partial`` is zero
-padding with each cut window reweighted, so its frame is computed as
-``zero``'s frame times its factor.
+padding with each cut window reweighted, so its frame is computed as the
+zero-padded frame times its factor.
 """
 
 from __future__ import annotations
@@ -138,9 +138,8 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     the error there is exactly 0. On it, each output is the valid
     convolution of the 3m-wide edge bands of the padded field, the same
     arithmetic per pixel as the full convolution. There is one slot for the
-    oracle and one per distinct margin: ``partial`` reads ``zero``'s when
-    both run, and keeps a zero-margin slot of its own otherwise. Every
-    slot's bands are laid out as ``filter`` lays out one field's
+    oracle and one per distinct method, ``partial``'s with a zero margin.
+    Every slot's bands are laid out as ``filter`` lays out one field's
     (``engine._band_strips``): top and bottom side by side in one
     C-contiguous strip, left and right, transposed, in another. Each strip's
     accumulation is prepared once and run per kernel on the strip as each
@@ -149,9 +148,8 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     its seeds in one bulk pass and sets their streams on one shared
     Generator (``fields._generate_state`` and ``_streams``), with the same
     bits. Slices of each strip's output, one block per band, are copied
-    into views of every slot's row-major frame, made once per call.
-    ``partial``'s frame is its slot's times the factor, written to a row of
-    its own when ``zero``'s must stay unscaled.
+    into views of every slot's row-major frame, made once per call, and
+    ``partial``'s frame is multiplied by the factor in place.
     Per chunk of kernels (``_TILE_BYTES`` of frame values, or one kernel's),
     eps1 and eps2 are the ``error_means`` over H*W of the frame pixels'
     errors in row-major order, a lane per (kernel, method), so they are
@@ -160,16 +158,9 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     """
     k, h, w = config.size, config.height, config.width
     m = half_width(k)
-    # One strip slot per distinct margin; slot 0 is the oracle. partial is
-    # zero padding with its frame rescaled, so it reads zero's margin.
-    margin_of = {method: "zero" if method == "partial" else method for method in config.methods}
-    slot = {margin: s for s, margin in enumerate(dict.fromkeys(margin_of.values()), start=1)}
+    # One strip slot and chunk row per distinct method; slot 0 is the oracle.
+    slot = {method: s for s, method in enumerate(dict.fromkeys(config.methods), start=1)}
     slots = len(slot) + 1
-    # A chunk row per distinct method: its margin's slot, but partial's own
-    # after the slots when zero's frame must also stay as it is.
-    row = {method: slot[margin] for method, margin in margin_of.items()}
-    if "partial" in row and "zero" in row:
-        row["partial"] = slots
     kernels = random_kernels(RandomKernelSpec(size=k, count=config.filter_count, seed=config.seed))
     frame = np.ones((h, w), dtype=bool)
     frame[m:h - m, m:w - m] = False
@@ -177,14 +168,13 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     _rescale_frame(scale, k)  # partial's factor per pixel
     scale = scale[frame]
     put, (run_tb, run_lr), ends, sides_out = _band_strips(h, w, k, slots)
-    per_chunk = max(1, _TILE_BYTES // (8 * (len(row) + 1) * scale.size))
-    chunk = np.empty((min(per_chunk, len(kernels)), len(row) + 1, scale.size))
+    per_chunk = max(1, _TILE_BYTES // (8 * slots * scale.size))
+    chunk = np.empty((min(per_chunk, len(kernels)), slots, scale.size))
     # Views of each kernel's row-major frames in the band outputs' layout: the top and
     # bottom rows as (m, slots, W), the middle rows' left and right ends as (m, slots, 2, H - 2m).
-    strip_rows = chunk[:, :slots]
-    top, bottom = (strip_rows[..., a:a + m * w].reshape(-1, slots, m, w).swapaxes(1, 2)
+    top, bottom = (chunk[..., a:a + m * w].reshape(-1, slots, m, w).swapaxes(1, 2)
                    for a in (0, scale.size - m * w))
-    sides = strip_rows[..., m * w:-m * w].reshape(-1, slots, h - 2 * m, 2, m).transpose(0, 4, 1, 3, 2)
+    sides = chunk[..., m * w:-m * w].reshape(-1, slots, h - 2 * m, 2, m).transpose(0, 4, 1, 3, 2)
     # Each kernel's three copies, from views made once per call.
     ends_top, ends_bottom = ends[:, :, 0], ends[:, :, 1]
     copies = list(zip(top, bottom, sides))
@@ -193,8 +183,8 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
         fld = generate(FieldSpec(family=config.family, height=h, width=w, order=order, margin=m))
         put(0, fld.data[m:-m], fld.data)
         with np.errstate(over="ignore", invalid="ignore"):
-            for margin, s in slot.items():
-                if margin == "distribution":  # its statistics once, a margin per kernel below
+            for method, s in slot.items():
+                if method == "distribution":  # its statistics once, a margin per kernel below
                     dist = _margin("zero", fld.core, k)
                     dist_rows = dist[m:-m]
                     dist_stats = _distribution_stats(dist_rows, dist, k)
@@ -203,9 +193,9 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
                     seeds = _generate_state(_cell_entropy((config.seed, order), len(kernels)), 2)
                     streams = _streams(seeds)
                 else:
-                    padded = _margin(margin, fld.core, k)
+                    padded = _margin(method, fld.core, k)  # partial's margin is zero
                     put(s, padded[m:-m], padded)
-        eps = np.empty((2, len(kernels), len(row)))
+        eps = np.empty((2, len(kernels), slots - 1))
         for j0 in range(0, len(kernels), len(chunk)):
             out = chunk[:len(kernels) - j0]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -217,15 +207,15 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
                     run_lr(ker)
                     t, b, lr = copies[j - j0]
                     t[...], b[...], lr[...] = ends_top, ends_bottom, sides_out
-                if "partial" in row:
-                    np.multiply(out[:, slot["zero"]], scale, out=out[:, row["partial"]])
+                if "partial" in slot:
+                    out[:, slot["partial"]] *= scale
             if not np.isfinite(out).all():
                 bad = out[np.isfinite(out).all(axis=(1, 2)).argmin()]
-                for method, r in [*row.items(), ("oracle", 0)]:
-                    _check_finite(bad[r], method, k)
+                for method, s in [*slot.items(), ("oracle", 0)]:
+                    _check_finite(bad[s], method, k)
             eps[:, j0:j0 + len(out)] = error_means(out[:, 1:] - out[:, :1], h * w)
         for method in config.methods:
-            errors = enumerate(zip(*eps[..., row[method] - 1].tolist()))
+            errors = enumerate(zip(*eps[..., slot[method] - 1].tolist()))
             rows.extend((config.family, order, method, j, e1, e2) for j, (e1, e2) in errors)
     return rows
 

@@ -37,7 +37,6 @@ from functools import cache
 from threading import Thread
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .stencils import as_kernel, half_width, lagrange_values
 
@@ -116,17 +115,14 @@ def _accumulate_rows(tiles, weights) -> None:
     # order, the rows of its (K, K, n) view of the source, each one
     # contiguous 1-D run at its offset. Each tap's product is written into
     # ``product`` and added to ``tile``, which starts from 0.0. Each tile row
-    # ends in K-1 windows that wrap into the next source row: where ``tile``
-    # is the output's own memory they land in the columns beyond its view;
-    # from scratch only the first nx columns, ``done``, are copied into
-    # ``rows`` of the output.
+    # ends in K-1 windows that wrap into the next source row: only the first
+    # nx columns, ``done``, are copied into ``rows`` of the output.
     for taps, tile, product, rows, done in tiles:
         tile.fill(0.0)
         for tap, weight in zip(taps, weights):
             np.multiply(tap, weight, product)
             tile += product
-        if rows is not None:
-            rows[...] = done
+        rows[...] = done
 
 
 def _accumulate_worker(errors: list, *args) -> None:
@@ -168,24 +164,17 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     #
     # Every tile's taps are the K^2 rows of one (K, K, n) strided view of
     # the source, made here, so no run slices anything. Each block's scratch
-    # is a product plane and, unless the tile sums in place, an accumulator
-    # plane, each as many pitch-wide rows as the longest tile, and all
-    # blocks' planes are one allocation. A tile sums in place where _prepare
-    # allocates the output, pitch-wide, and returns its first nx columns:
-    # the K-1 windows per row that wrap into the next source row land in the
-    # columns beyond the view, which no caller reads. Otherwise
-    # (``_accumulate``'s contiguous output, or a field-sized output's
-    # interior, whose K^2 passes over it measured 5-10 % slower at K = 7 and
-    # 9 than over scratch) a tile is accumulated in its block's accumulator
-    # plane and its first nx columns are copied into the output.
+    # is a product plane and an accumulator plane, each as many pitch-wide
+    # rows as the longest tile, and all blocks' planes are one allocation.
+    # A tile is accumulated at the source's pitch in its block's accumulator
+    # plane, and its first nx columns are copied into the output: the K-1
+    # windows per row that wrap into the next source row stay in scratch.
     flip = _column_major(field)
     src = field.T if flip else field
     flat, pitch = src.ravel(), src.shape[1]
     ny, nx = src.shape[0] - k + 1, pitch - k + 1
-    direct = out is None
-    if direct:
-        out = np.empty(ny * pitch).reshape(ny, pitch)[:, :nx]
-        out_run = as_strided(out, ((ny - 1) * pitch + nx,), (8,))
+    if out is None:
+        out = np.empty((ny, nx))
     elif flip:
         out = out.T
     tiles = _row_tiles(ny, nx)
@@ -194,7 +183,7 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
     # b * tiles // blocks onwards; the shortest tile has ny // tiles rows.
     bounds = [t * ny // tiles for t in range(tiles + 1)]
     most = -(-ny // tiles)
-    scratch = np.empty((blocks, 1 if direct else 2, most * pitch))
+    scratch = np.empty((blocks, 2, most * pitch))
     strides = (8, 8 * pitch, 8) if flip else (8 * pitch, 8, 8)
     work = [[] for _ in range(blocks)]
     for block, tiles_of_block in enumerate(work):
@@ -203,12 +192,9 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
             n = (y1 - y0 - 1) * pitch + nx  # up to the tile's last output
             view = np.ndarray((k, k, n), buffer=flat, offset=8 * y0 * pitch, strides=strides)
             taps = [view[i, j] for i in range(k) for j in range(k)]
-            if direct:
-                tile, copy = out_run[y0 * pitch:y0 * pitch + n], (None, None)
-            else:
-                acc = scratch[block, 1].reshape(most, pitch)[:y1 - y0]
-                tile, copy = acc.reshape(-1)[:n], (out[y0:y1], acc[:, :nx])
-            tiles_of_block.append((taps, tile, scratch[block, 0, :n], *copy))
+            acc = scratch[block, 1].reshape(most, pitch)[:y1 - y0]
+            tiles_of_block.append((taps, acc.reshape(-1)[:n], scratch[block, 0, :n],
+                                   out[y0:y1], acc[:, :nx]))
 
     def run(kernel: np.ndarray) -> None:
         weights = kernel.ravel().tolist()
@@ -232,10 +218,8 @@ def _prepare(field: np.ndarray, k: int, out: np.ndarray | None = None):
 
 
 def _accumulate(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    k = kernel.shape[0]
-    h, w = field.shape
-    out = np.empty((h - k + 1, w - k + 1), order="F" if _column_major(field) else "C")
-    _prepare(field, k, out)[1](kernel)  # prepared, then run once
+    out, run = _prepare(field, kernel.shape[0])
+    run(kernel)
     return out
 
 
@@ -396,10 +380,10 @@ def _band_strips(h: int, w: int, k: int, slots: int = 1):
     slots, 2, w), ``sides`` the left and right min(m, w) frame columns
     between them, transposed, as (columns, slots, 2, rows). The side bands'
     margin rows stay zero: only the corner outputs, in ``ends``, read
-    them. Each strip is run once per kernel or frame, so its output is the
-    one :func:`_prepare` allocates and accumulates in place, from tap views
-    of the strip held since it was prepared: ``ends`` and ``sides`` view
-    that output, and each run reads what ``put`` last wrote."""
+    them. Each strip is run once per kernel or frame, into the output
+    :func:`_prepare` allocates, from tap views of the strip held since it
+    was prepared: ``ends`` and ``sides`` view that output, and each run
+    reads what ``put`` last wrote."""
     m = half_width(k)
     bands = [min(3 * m, size + 2 * m) for size in (h, w)]
     strips = [np.zeros((band, slots * 2 * (size + 2 * m) + 2 * m))

@@ -145,7 +145,7 @@ def test_rows_equal_full_per_cell_definition_in_chunks(monkeypatch, per_chunk):
         dataclasses.replace(base, size=9, family="spherical"),
         dataclasses.replace(base, height=9, width=31),
         dataclasses.replace(base, height=31, width=9, methods=("partial", "distribution", "diff")),
-        # partial's frame from zero's slot, and from a slot of its own.
+        # partial with zero, and alone.
         dataclasses.replace(base, methods=("partial", "zero")),
         dataclasses.replace(base, size=5, methods=("partial",)),
         # One method: with one kernel per chunk, each sum has a single lane.
@@ -158,29 +158,6 @@ def test_rows_equal_full_per_cell_definition_in_chunks(monkeypatch, per_chunk):
         chunks = [1] * 5 if per_chunk == 1 else [2, 2, 1]
         assert sizes == chunks * len(config.orders), config
         assert rows == full_per_cell_rows(config), config
-
-
-@pytest.mark.parametrize("methods,slots", [
-    (METHODS, 8),  # compare's defaults: the oracle and seven margins
-    (tuple(m for m in METHODS if m != "zero"), 8),  # partial's zero margin is its own
-    (("partial", "diff", "zero", "partial"), 3),
-    (("partial",), 2),
-])
-def test_band_strips_hold_one_slot_per_margin(monkeypatch, methods, slots):
-    # partial is zero padding with its frame rescaled, so it reads zero's
-    # strip slot when zero runs too.
-    band_strips = benchmark._band_strips
-    seen = []
-
-    def recording(h, w, k, count):
-        seen.append(count)
-        return band_strips(h, w, k, count)
-
-    monkeypatch.setattr(benchmark, "_band_strips", recording)
-    config = BenchmarkConfig(family="chebyshev", orders=(1, 2), height=12, width=12,
-                             size=3, filter_count=2, seed=0, methods=methods)
-    run_benchmark(config)
-    assert seen == [slots]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -223,8 +200,8 @@ def test_run_benchmark_reports_any_slots_overflow(monkeypatch, method):
 
 @pytest.mark.parametrize("methods", [("partial", "zero"), ("zero", "partial")])
 def test_run_benchmark_names_the_first_method_of_a_shared_slot(monkeypatch, methods):
-    # zero's and partial's frames both overflow, from the one zero-margin
-    # slot: methods are checked in the config's order, then the oracle.
+    # zero's and partial's slots hold the same zero margin, so both frames
+    # overflow: methods are checked in the config's order, then the oracle.
     big = np.finfo(np.float64).max / 2
     monkeypatch.setattr(benchmark, "generate", huge_fields(big, big))
     monkeypatch.setattr(benchmark, "random_kernels", ones_kernels)

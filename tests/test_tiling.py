@@ -156,8 +156,8 @@ def test_band_stacks_match_untiled_reference(monkeypatch, k):
     for tile_bytes in (1, 2 * row_bytes, 2 * row_bytes + 8):
         monkeypatch.setattr(engine, "_TILE_BYTES", tile_bytes)
         assert_bitwise_equal(_accumulate(strip, kernel), want)
-    # The prepared strips accumulate in place from tap views held since they
-    # were made, and are run again and again: after each put of new bands
+    # The prepared strips accumulate from tap views held since they were
+    # made, and are run again and again: after each put of new bands
     # and each new kernel, every slot's frame must be its padded field's, so
     # a view left on stale bands, or a run that keeps anything of the last
     # one, fails. Each slot's top margin row is zero (signed-zero products),
@@ -219,9 +219,8 @@ def test_column_major_band_stacks_match_untiled_reference(monkeypatch, k):
 def test_prepared_runs_read_what_the_source_holds(monkeypatch, k):
     # A prepared run reads its source through tap views held since it was
     # prepared, so each run must see what the source then holds, whether it
-    # sums in place in the output _prepare allocates or fills one the caller
-    # supplies (contiguous, so through scratch and a copy), and whether the
-    # source is row-major or column-major (taps along axis 0). Two-row tiles
+    # fills the output _prepare allocates or one the caller supplies, and
+    # whether the source is row-major or column-major (taps along axis 0). Two-row tiles
     # over one, two and three workers. A positive field with an all -0.0
     # kernel makes every product -0.0: each sum must start from +0.0, as the
     # untiled loop does.
@@ -247,8 +246,8 @@ def test_workers_share_no_scratch(monkeypatch):
     # More workers than CPUs, short tiles and a short switch interval, so
     # the blocks interleave; a product or accumulator plane shared between
     # two of them corrupts the output. Ten-row tiles, accumulated through
-    # scratch into _accumulate's output and in place in the one a prepared
-    # run allocates.
+    # scratch into _accumulate's output and into the one a prepared run
+    # allocates.
     field, kernel = field_and_kernel((130, 402), 3, seed=1)
     want = reference_accumulate(field, kernel)
     workers = engine._cpu_count() + 2
@@ -287,9 +286,8 @@ def test_worker_overflow_is_reported_by_the_caller(monkeypatch):
 def test_a_block_exception_is_raised_by_the_caller(monkeypatch, failing_start):
     # Ten one-row tiles in two blocks: block 0 (rows 0-4) runs in the calling
     # thread, block 1 (rows 5-9) in a worker. Whichever block raises, the
-    # call raises that exception once every worker has been joined, both
-    # where the tiles are copied into the caller's output (conv2d_valid) and
-    # where a prepared run accumulates them in the output it allocated.
+    # call raises that exception once every worker has been joined, both in
+    # a one-shot call (conv2d_valid) and in a run prepared ahead of it.
     class BlockFailed(Exception):
         pass
 
@@ -354,8 +352,7 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
     # arrays there is the call's scratch, a few margin-sized arrays and the
     # tiles' views. The 510 x 510 output (or interior), at the field's pitch
     # of 512, is split into the 64-row tiles of _row_tiles. Each worker
-    # accumulates its tiles through a product plane and an accumulator plane
-    # (every output here is supplied to _prepare, so none sums in place),
+    # accumulates its tiles through a product plane and an accumulator plane,
     # each as many pitch-wide rows as the longest tile, and each tile holds
     # its K^2 taps as 1-D views of the source, allowed 128 B a view (numpy
     # 2.4.6 traces 122 B). The peak sits 7.7-26 KB under the bound. An
