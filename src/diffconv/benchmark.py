@@ -28,6 +28,7 @@ from .engine import (
     _check_finite,
     _distribution_stats,
     _draw_distribution,
+    _edge_cells,
     _is_seed,
     _margin,
     _rescale_frame,
@@ -73,6 +74,9 @@ class BenchmarkConfig:
             raise ValueError(f"methods must name at least one of {METHODS}")
         if bad := [m for m in self.methods if m not in METHODS]:
             raise ValueError(f"unknown methods {bad}; expected a subset of {METHODS}")
+        for name, values in (("orders", self.orders), ("methods", self.methods)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat, got {values}")
         if self.height < self.size or self.width < self.size:
             raise ValueError(
                 f"field {self.height}x{self.width} is smaller than the kernel size {self.size}"
@@ -138,8 +142,10 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     the error there is exactly 0. On it, each output is the valid
     convolution of the 3m-wide edge bands of the padded field, the same
     arithmetic per pixel as the full convolution. There is one slot for the
-    oracle and one per distinct method, ``partial``'s with a zero margin.
-    Every slot's bands are laid out as ``filter`` lays out one field's
+    oracle, which puts its analytic padded field, and one per method, which
+    puts the margin pieces ``filter``'s frame reads (``engine._margin`` at
+    the field's K edge rows), ``partial``'s with a zero margin. Every slot's
+    bands are laid out as ``filter`` lays out one field's
     (``engine._band_strips``): top and bottom side by side in one
     C-contiguous strip, left and right, transposed, in another. Each strip's
     accumulation is prepared once and run per kernel on the strip as each
@@ -158,10 +164,11 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
     """
     k, h, w = config.size, config.height, config.width
     m = half_width(k)
-    # One strip slot and chunk row per distinct method; slot 0 is the oracle.
-    slot = {method: s for s, method in enumerate(dict.fromkeys(config.methods), start=1)}
+    # One strip slot and chunk row per method; slot 0 is the oracle.
+    slot = {method: s for s, method in enumerate(config.methods, start=1)}
     slots = len(slot) + 1
     kernels = random_kernels(RandomKernelSpec(size=k, count=config.filter_count, seed=config.seed))
+    edges = _edge_cells(h, k)  # the field rows each slot's margin pieces hold
     frame = np.ones((h, w), dtype=bool)
     frame[m:h - m, m:w - m] = False
     scale = np.ones((h, w))
@@ -185,24 +192,25 @@ def run_benchmark(config: BenchmarkConfig) -> list[tuple]:
         with np.errstate(over="ignore", invalid="ignore"):
             for method, s in slot.items():
                 if method == "distribution":  # its statistics once, a margin per kernel below
-                    dist = _margin("zero", fld.core, k)
-                    dist_rows = dist[m:-m]
-                    dist_stats = _distribution_stats(dist_rows, dist, k)
+                    dist_tall, dist_wide = _margin("zero", fld.core, k, rows=edges)
+                    dist_stats = _distribution_stats(dist_tall, dist_wide, k)
                     # Each kernel's stream is default_rng(derive_seed(seed, order, j)):
                     # the derived seeds' low and high words are its entropy.
                     seeds = _generate_state(_cell_entropy((config.seed, order), len(kernels)), 2)
                     streams = _streams(seeds)
-                else:
-                    padded = _margin(method, fld.core, k)  # partial's margin is zero
-                    put(s, padded[m:-m], padded)
+                else:  # partial's margin is zero
+                    put(s, *_margin(method, fld.core, k, rows=edges))
         eps = np.empty((2, len(kernels), slots - 1))
         for j0 in range(0, len(kernels), len(chunk)):
             out = chunk[:len(kernels) - j0]
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, ker in enumerate(kernels[j0:j0 + len(out)], start=j0):
                     if "distribution" in slot:
-                        _draw_distribution(dist_rows, dist, m, dist_stats, next(streams))
-                        put(slot["distribution"], dist_rows, dist)
+                        _draw_distribution(dist_tall, dist_wide, m, dist_stats, next(streams))
+                        # wide does not view tall: its edge rows take the new side margins.
+                        dist_wide[m:-m, :m] = dist_tall[edges, :m]
+                        dist_wide[m:-m, -m:] = dist_tall[edges, -m:]
+                        put(slot["distribution"], dist_tall, dist_wide)
                     run_tb(ker)
                     run_lr(ker)
                     t, b, lr = copies[j - j0]

@@ -12,12 +12,13 @@ pixels determine the result.
 That makes ``diff`` one row of a per-axis margin table (:func:`_axis_margin`)
 shared with the baselines: zero, reflect, replicate, circular, degree-m
 extrapolation, distribution padding and partial convolution. Every method in
-:data:`METHODS` fills a half-width margin (:func:`_margin`, one pass along
-each axis of its own row-major padded copy) and runs the valid accumulation
-over the padded field. An output of fewer than 8 row tiles is accumulated
-over that copy. A larger one needs none: its interior is accumulated
-straight from the field into the output, and its m-wide frame from the
-padded field's edge bands (:func:`_margin_pieces`), laid out as two strips
+:data:`METHODS` fills a half-width margin and runs the valid accumulation
+over the padded field. One builder, :func:`_margin`, makes every margin, one
+pass along each axis, at the field rows its caller picks: every row for a
+padded copy, or the K edge rows for the pieces the m-wide frame reads. An
+output of fewer than 8 row tiles is accumulated over a padded copy. A larger
+one needs none: its interior is accumulated straight from the field into
+the output, and its frame from the pieces, laid out as two strips
 (:func:`_band_strips`, which ``compare`` runs too). ``partial`` then
 rescales each output whose window an edge cuts by the inverse fraction of
 in-image pixels in that window. :func:`apply_method` is the one validated
@@ -280,8 +281,7 @@ def _distribution_stats(tall: np.ndarray, wide: np.ndarray, k: int) -> tuple[tup
     """(mean, sample std with ddof=1) of the field's left, right, top and
     bottom edge bands of thickness (K + 1) / 2, the parameters of distribution
     padding: the left and right ones read from ``tall``, the top and bottom
-    ones from ``wide`` (:func:`_margin_pieces`, or a padded field's rows and
-    the padded field)."""
+    ones from ``wide`` (:func:`_margin`'s, at any of its row sets)."""
     m = half_width(k)
     cols, rows = tall[:, m:-m], wide[m:-m, m:-m]
     bands = (cols[:, :m + 1], cols[:, -m - 1:], rows[:m + 1], rows[-m - 1:])
@@ -293,7 +293,9 @@ def _draw_distribution(tall: np.ndarray, wide: np.ndarray, m: int, stats, rng) -
     # with i.i.d. normal draws per edge from the Generator ``rng``, set to
     # numpy.random.default_rng(seed)'s stream: one standard_normal call split
     # in fixed order left (H, m), right (H, m), top (m, W+2m), bottom
-    # (m, W+2m), so margins depend only on (seed, shape, k).
+    # (m, W+2m), so margins depend only on (seed, shape, k). The side margins
+    # land in ``tall``: where ``wide`` does not view it, the caller copies
+    # them into ``wide``'s field rows.
     (mu_l, sd_l), (mu_r, sd_r), (mu_t, sd_t), (mu_b, sd_b) = stats
     h, w = tall.shape[0], wide.shape[1]
     z = rng.standard_normal(2 * m * (h + w))
@@ -318,44 +320,33 @@ def _fill_ends(method: str, lines: np.ndarray, k: int) -> None:
         near[...] = end[:, cells] if weights is None else end[:, cells] @ weights
 
 
-def _margin(method: str, field: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
-    """``field`` surrounded by the half-width margin that ``method`` (any of
-    :data:`METHODS`) convolves, for inputs the caller has validated.
+def _margin(method: str, field: np.ndarray, k: int, seed: int = 0, rows=slice(None)):
+    """(tall, wide): ``field`` and the half-width margin that ``method`` (any
+    of :data:`METHODS`) convolves, for inputs the caller has validated.
+    ``wide`` holds the field rows ``rows`` across the W + 2m columns, with
+    the top and bottom margins; ``tall`` holds the H field rows with their
+    row margins. ``slice(None)`` (every row) makes ``wide`` the padded field
+    and ``tall`` a view of its field rows; the K edge rows
+    (:func:`_edge_cells`) make them the two pieces the m-wide frame reads,
+    ``tall`` then at the K edge columns alone.
 
-    The margin starts at zero and is built from the function's own row-major
-    copy alone, so its bits do not depend on how ``field`` is stored. The
-    row pass applies :func:`_axis_margin` to either end of the field's rows,
-    the column pass to either end of the columns across the whole width, so
-    every corner is the rows-then-columns tensor product. ``distribution``
-    draws per edge from ``seed`` instead."""
+    The margin starts at zero and is built from copies of ``field``, so its
+    bits do not depend on how ``field`` is stored. The row pass applies
+    :func:`_axis_margin` to either end of ``tall``'s rows, which ``wide``'s
+    rows take, the column pass to either end of ``wide``'s columns across
+    the whole width, so every corner is the rows-then-columns tensor
+    product. ``distribution`` draws per edge from ``seed`` instead."""
     m = half_width(k)
     h, w = field.shape
-    padded = np.zeros((h + 2 * m, w + 2 * m))
-    rows = padded[m:-m]
-    rows[:, m:-m] = field
-    if method == "distribution":
-        _draw_distribution(rows, padded, m, _distribution_stats(rows, padded, k),
-                           np.random.default_rng(seed))
-    _fill_ends(method, rows, k)
-    _fill_ends(method, padded.T, k)
-    return padded
-
-
-def _margin_pieces(method: str, field: np.ndarray, k: int, seed: int):
-    """(tall, wide): the rows and columns of :func:`_margin`'s padded field
-    that its m-wide frame reads, with the same bits. ``tall`` holds its H
-    field rows at the field's edge columns (:func:`_edge_cells`) with their
-    row margins, ``wide`` its W + 2m columns at the field's edge rows with
-    the top and bottom margins. Both are gathered from ``field``, so the bits
-    do not depend on how it is stored. The passes are :func:`_margin`'s, the
-    column pass over ``wide`` once its edge rows have their row margins."""
-    m = half_width(k)
-    h, w = field.shape
-    rows, cols = _edge_cells(h, k), _edge_cells(w, k)
-    tall = np.zeros((h, cols.size + 2 * m))
-    tall[:, m:-m] = field[:, cols]
-    wide = np.zeros((rows.size + 2 * m, w + 2 * m))
-    wide[m:-m, m:-m] = field[rows]
+    core = field[rows]
+    wide = np.zeros((core.shape[0] + 2 * m, w + 2 * m))
+    wide[m:-m, m:-m] = core
+    if isinstance(rows, slice):
+        tall = wide[m:-m]
+    else:
+        cols = _edge_cells(w, k)
+        tall = np.zeros((h, cols.size + 2 * m))
+        tall[:, m:-m] = field[:, cols]
     if method == "distribution":
         _draw_distribution(tall, wide, m, _distribution_stats(tall, wide, k),
                            np.random.default_rng(seed))
@@ -374,8 +365,8 @@ def _band_strips(h: int, w: int, k: int, slots: int = 1):
     is the padded convolution's own, so every frame pixel has its bits.
 
     Returns (put, runs, ends, sides): ``put(s, tall, wide)`` copies slot s's
-    bands from :func:`_margin_pieces` or from a padded field's rows and the
-    padded field; ``runs``, each called with the kernel, accumulate the two
+    bands from :func:`_margin`'s pieces (or from a padded field's rows and
+    the padded field); ``runs``, each called with the kernel, accumulate the two
     strips; ``ends`` views the top and bottom min(m, h) frame rows as (rows,
     slots, 2, w), ``sides`` the left and right min(m, w) frame columns
     between them, transposed, as (columns, slots, 2, rows). The side bands'
@@ -404,7 +395,7 @@ def _band_strips(h: int, w: int, k: int, slots: int = 1):
 def _accumulate_unpadded(method: str, field: np.ndarray, kernel: np.ndarray, seed: int) -> np.ndarray:
     """``apply_method``'s accumulation without a padded copy of ``field``:
     the interior straight from the field into the output, then the frame
-    from the band strips of the field's margin pieces. Every output pixel
+    from the band strips of :func:`_margin`'s pieces. Every output pixel
     has the window and the arithmetic of the padded convolution."""
     k = kernel.shape[0]
     m = half_width(k)
@@ -415,7 +406,7 @@ def _accumulate_unpadded(method: str, field: np.ndarray, kernel: np.ndarray, see
     if min(h, w) >= k:
         _prepare(field, k, out[m:-m, m:-m])[1](kernel)
     put, runs, ends, sides = _band_strips(h, w, k)
-    put(0, *_margin_pieces(method, field, k, seed))
+    put(0, *_margin(method, field, k, seed, _edge_cells(h, k)))
     for run in runs:
         run(kernel)
     t, u = ends.shape[0], sides.shape[0]
@@ -481,7 +472,7 @@ def apply_method(method: str, field, kernel, bank=None, seed: int = 0) -> np.nda
         if _row_tiles(*arr.shape) >= 8:
             out = _accumulate_unpadded(method, arr, ker, seed)
         else:
-            out = _accumulate(_margin(method, arr, k, seed), ker)
+            out = _accumulate(_margin(method, arr, k, seed)[1], ker)
         if method == "partial":
             _rescale_frame(out, k)
     _check_finite(out, method, k)
@@ -534,6 +525,6 @@ def pad(field, k: int, scheme: PaddingScheme) -> np.ndarray:
     arr = as_field(field)
     _check_inputs(arr, k, scheme.tag, scheme.seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        padded = _margin(scheme.tag, arr, k, scheme.seed)
+        padded = _margin(scheme.tag, arr, k, scheme.seed)[1]
     _check_finite(padded, scheme.tag, k)
     return padded

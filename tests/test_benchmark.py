@@ -84,7 +84,7 @@ def test_rows_equal_full_per_cell_definition():
         dataclasses.replace(base, size=5, height=5, width=5),
         dataclasses.replace(base, size=9, height=9, width=9, family="spherical"),
         dataclasses.replace(base, size=7, methods=("partial", "distribution", "diff")),
-        dataclasses.replace(base, methods=("partial", "diff", "zero", "partial", "diff")),
+        dataclasses.replace(base, methods=("partial", "diff", "zero")),
         # One middle row or column between the non-square bands.
         dataclasses.replace(base, size=7, height=7, width=40),
         dataclasses.replace(base, size=7, height=40, width=7),
@@ -114,9 +114,9 @@ def test_one_call_equals_its_one_order_calls():
 
 def frame_bytes(config):
     """Bytes of one kernel's frame values in ``run_benchmark``: one float per
-    frame pixel for the oracle and each distinct method."""
+    frame pixel for the oracle and each method."""
     h, w, m = config.height, config.width, half_width(config.size)
-    return 8 * (len(set(config.methods)) + 1) * (h * w - (h - 2 * m) * (w - 2 * m))
+    return 8 * (len(config.methods) + 1) * (h * w - (h - 2 * m) * (w - 2 * m))
 
 
 def chunks_of(monkeypatch, per_chunk, config):
@@ -199,7 +199,7 @@ def test_run_benchmark_reports_any_slots_overflow(monkeypatch, method):
 
 
 @pytest.mark.parametrize("methods", [("partial", "zero"), ("zero", "partial")])
-def test_run_benchmark_names_the_first_method_of_a_shared_slot(monkeypatch, methods):
+def test_run_benchmark_names_overflowing_zero_margin_slots_in_config_order(monkeypatch, methods):
     # zero's and partial's slots hold the same zero margin, so both frames
     # overflow: methods are checked in the config's order, then the oracle.
     big = np.finfo(np.float64).max / 2
@@ -320,6 +320,8 @@ def test_each_call_validates_its_field_once(monkeypatch, method):
     ({"width": 6, "size": 7}, "field 8x6 is smaller than the kernel size 7"),
     ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
     ({"seed": "3"}, "seed must be a non-negative integer, got '3'"),
+    ({"orders": (1, 2, 1)}, r"orders must not repeat, got \(1, 2, 1\)"),
+    ({"methods": ("diff", "zero", "diff")}, r"methods must not repeat, got \('diff', 'zero', 'diff'\)"),
 ])
 def test_config_rejects_each_constraint_by_name(change, message):
     valid = dict(family="chebyshev", orders=(1,), height=8, width=8, size=3, filter_count=1, seed=0)

@@ -501,6 +501,7 @@ def test_compare_rejects_each_config_constraint(runner, args, message):
     ("", "methods must name at least one of ('diff',"),
     (" , ", "methods must name at least one of ('diff',"),
     ("diff,bogus", "unknown methods ['bogus']; expected a subset of ('diff',"),
+    ("diff,diff", "methods must not repeat, got ('diff', 'diff')"),
 ])
 def test_compare_rejects_bad_methods(runner, methods, message):
     result = runner.invoke(main, ["compare", "--methods", methods, "--filters", "1",

@@ -89,7 +89,7 @@ def test_every_method_matches_untiled_reference(monkeypatch, k, tile_rows):
         field, kernel = field_and_kernel(shape, k, seed=10 * k + shape[1])
         monkeypatch.setattr(engine, "_TILE_BYTES", tile_rows * 8 * shape[1])
         for method, degree in (("extrapolate", m), ("diff", k - 1)):
-            assert_bitwise_equal(_margin(method, field, k),
+            assert_bitwise_equal(_margin(method, field, k)[1],
                                  reference_pad_extrapolate(field, k, degree))
         for method in METHODS:
             assert_bitwise_equal(apply_method(method, field, kernel, seed=k),
@@ -374,6 +374,41 @@ def test_full_size_arrays_per_call(monkeypatch, function, full_size_arrays):
         try:
             before = tracemalloc.get_traced_memory()[0]
             function(field, kernel)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert full_size_arrays * field.nbytes <= peak
+        assert peak <= bound[workers]
+
+
+@pytest.mark.parametrize("function,full_size_arrays", [
+    (partial(pad, k=3, scheme=PaddingScheme("reflect")), 1),  # the padded field
+    (partial(conv2d_diff, kernel=np.full((3, 3), 1.0 / 9.0)), 2),  # and the output
+], ids=["pad", "conv2d_diff"])
+def test_padded_copy_arrays_per_call(monkeypatch, function, full_size_arrays):
+    # Traced peak of one call at 448^2, K = 3 (7 row tiles, so conv2d_diff
+    # accumulates over a padded copy), with one and with two workers. Besides
+    # the padded field and the output there is the accumulation's scratch and
+    # tap views (as in test_full_size_arrays_per_call), the finite check's
+    # boolean map of the padded field, and margin-sized arrays, allowed one
+    # edge-column piece (448 rows of 2K + 2m cells). The peak sits 27-220 KB
+    # under the bound. A margin builder that copies the field once more
+    # exceeds it: the bound is below one more field.
+    field = np.random.default_rng(0).standard_normal((448, 448))
+    padded_bytes = 450 * 450 * 8
+    tiles = engine._row_tiles(446, 446)
+    planes_bytes = 2 * 8 * 450 * -(-446 // tiles) if full_size_arrays == 2 else 0
+    views_bytes = tiles * 9 * 128 if full_size_arrays == 2 else 0
+    small_bytes = 448 * (2 * 3 + 2) * 8 + 450 * 450
+    bound = {workers: (full_size_arrays - 1) * field.nbytes + padded_bytes + small_bytes
+             + views_bytes + workers * planes_bytes for workers in (1, 2)}
+    assert bound[2] < (full_size_arrays + 1) * field.nbytes
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            function(field)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
