@@ -199,7 +199,7 @@ def test_run_benchmark_reports_any_slots_overflow(monkeypatch, method):
 
 
 @pytest.mark.parametrize("methods", [("partial", "zero"), ("zero", "partial")])
-def test_run_benchmark_names_overflowing_zero_margin_slots_in_config_order(monkeypatch, methods):
+def test_run_benchmark_names_the_first_method_of_a_shared_slot(monkeypatch, methods):
     # zero's and partial's slots hold the same zero margin, so both frames
     # overflow: methods are checked in the config's order, then the oracle.
     big = np.finfo(np.float64).max / 2
